@@ -1,63 +1,11 @@
 #!/bin/sh
-# CI gate: static checks, the unit suite, a race-detector pass over the
-# concurrent paths (EvaluateParallel, experiment sweeps, metaai-serve), a
-# short fuzz smoke over the wire-protocol decoder, and a tiny abl-faults run
-# whose runner errors out if the zero-fault-rate point is not bit-identical
-# to the unfaulted baseline.
+# CI gate: `make check` runs every gate (vet, tests, -race, fuzz smokes, the
+# zero-rate/recovery/cascade/fleet/chaos gates, and the obs/bench/trace/stitch
+# determinism gates); the Makefile is the one list of them. Then refresh the
+# emit-only servebench snapshot.
 set -eu
 
-echo "== go vet =="
-go vet ./...
-
-echo "== go test =="
-go test ./...
-
-echo "== go test -race =="
-go test -race ./...
-
-echo "== airproto fuzz smoke (10s) =="
-go test -fuzz=FuzzUnmarshal -fuzztime=10s -run='^$' ./internal/airproto
-
-echo "== checkpoint fuzz smoke (10s) =="
-go test -fuzz=FuzzDecode -fuzztime=10s -run='^$' ./internal/checkpoint
-
-echo "== abl-faults zero-rate bit-identity =="
-go run ./cmd/metaai-bench -exp abl-faults -evalcap 40
-
-echo "== crash-recovery gate (save -> corrupt -> recover, -race) =="
-go test -race -count=1 -run 'TestKillAndRecoverBitIdentity|TestRecoverSkipsCorruptEpochs' ./cmd/metaai-serve
-
-echo "== cascade K=1 bit-identity gate =="
-go test -count=1 -run 'TestCascadeK1BitIdentity' ./internal/mts ./internal/ota
-go test -count=1 -run 'TestCascadeStateSealsVersion2|TestCascadeDeploymentRoundtripBitIdentity|TestJournalRecoverSkipsCorruptCascade' ./internal/checkpoint
-go test -count=1 -run 'TestKillAndRecoverCascadeBitIdentity' ./cmd/metaai-serve
-
-echo "== fleet failover/replication gate (3 replicas, kill/rollback/catch-up, -race) =="
-go test -race -count=1 -run 'TestFleetBench' -short ./cmd/metaai-serve
-
-echo "== chaos gate (netchaos zero-rate identity + 3-replica chaos soak, -race) =="
-go test -count=1 -run 'TestZeroRateBitIdentity|TestZeroRateLanePassthrough' ./internal/netchaos
-go test -race -count=1 -run 'TestChaosGate' -short ./cmd/metaai-serve
-
-echo "== obs determinism gate =="
-go test -run 'TestServeBenchDeterministicFingerprint' ./cmd/metaai-bench
-
-echo "== bench p99 regression gate (comparator tests + zero-alloc hot path + CLI self-compare) =="
-go test -run 'TestCompare' ./cmd/metaai-bench
-go test -count=1 -run 'TestAccumulateSteadyStateZeroAlloc' ./internal/ota
-go test -count=1 -run 'TestWorkerBatchSteadyStateZeroAlloc' ./cmd/metaai-serve
-go run ./cmd/metaai-bench -servebench 100 -obs-out .benchgate.json
-go run ./cmd/metaai-bench -compare .benchgate.json .benchgate.json
-rm -f .benchgate.json
-
-echo "== trace determinism gate (normalized exports byte-identical) =="
-go run ./cmd/metaai-bench -tracedump .tracegate.a.json
-go run ./cmd/metaai-bench -tracedump .tracegate.b.json
-cmp .tracegate.a.json .tracegate.b.json
-rm -f .tracegate.a.json .tracegate.b.json
-
-echo "== stitch gate (cross-hop trace stitched at the router + control plane under chaos, -race) =="
-go test -race -count=1 -run 'TestFleetStitchedTraceEndToEnd|TestRouterControlPlaneSurvivesChaosAndSaturation' ./cmd/metaai-serve
+make check
 
 echo "== servebench snapshot (emit-only, no thresholds) =="
 go run ./cmd/metaai-bench -servebench 2000 -obs-out BENCH_serve.json

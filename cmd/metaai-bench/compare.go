@@ -9,13 +9,14 @@ import (
 	"repro/internal/obs"
 )
 
-// benchReport mirrors runServeBench's JSON artifact, so two snapshots can
-// be reloaded and diffed. obs.Bucket round-trips its "+Inf" overflow bound,
-// which lets Quantile re-derive percentiles from the persisted buckets.
+// benchReport is runServeBench's JSON artifact, reloaded so two snapshots
+// can be diffed. obs.Bucket round-trips its "+Inf" overflow bound, which
+// lets Quantile re-derive percentiles from the persisted buckets.
 type benchReport struct {
 	Bench        string  `json:"bench"`
 	Inferences   int     `json:"inferences"`
 	Seed         uint64  `json:"seed"`
+	BatchSize    int     `json:"batch_size"`
 	WallSeconds  float64 `json:"wall_seconds"`
 	MicrosPerInf float64 `json:"micros_per_inference"`
 	// MicrosPerInfBatch gates the batched zero-alloc serve path
@@ -26,16 +27,8 @@ type benchReport struct {
 	// MicrosPerInfCas gates the 2-layer cascade hot path; zero in artifacts
 	// written before cascades existed, which check() treats as "no old
 	// baseline" rather than a regression.
-	MicrosPerInfCas float64 `json:"micros_per_inference_cascade2"`
-	// FleetP99Micros gates the replayed fleet episode's merged per-replica
-	// p99; zero in artifacts written before the fleet observability plane
-	// existed (no old baseline, never a regression).
-	FleetP99Micros float64 `json:"fleet_p99_micros"`
-	// BurnRate is the episode's worst-window SLO error-budget burn —
-	// reported for visibility in the compare table, never gated: it is an
-	// error-budget ratio, not a latency.
-	BurnRate float64       `json:"burn_rate"`
-	Metrics  *obs.Snapshot `json:"metrics"`
+	MicrosPerInfCas float64       `json:"micros_per_inference_cascade2"`
+	Metrics         *obs.Snapshot `json:"metrics"`
 }
 
 func loadBenchReport(path string) (*benchReport, error) {
@@ -84,7 +77,6 @@ func compareReports(oldR, newR *benchReport, threshold, floorMicros float64) err
 	check("micros_per_inference", oldR.MicrosPerInf, newR.MicrosPerInf)
 	check("micros_per_inference_batch", oldR.MicrosPerInfBatch, newR.MicrosPerInfBatch)
 	check("micros_per_inference_cascade2", oldR.MicrosPerInfCas, newR.MicrosPerInfCas)
-	check("fleet_p99_micros", oldR.FleetP99Micros, newR.FleetP99Micros)
 	for _, name := range sortedNames(oldR.Metrics.Histograms) {
 		oldH := oldR.Metrics.Histograms[name]
 		newH, ok := newR.Metrics.Histograms[name]
@@ -107,12 +99,6 @@ func compareReports(oldR, newR *benchReport, threshold, floorMicros float64) err
 		}
 		fmt.Printf("compare: %-36s old %10.2fµs  new %10.2fµs  %+7.1f%%  %s\n",
 			r.name, r.oldUs, r.newUs, delta, verdict)
-	}
-	// Burn rate is informational: a budget ratio, not a latency — printed so
-	// SLO drift shows up in compare output, but never a gating failure.
-	if oldR.BurnRate != 0 || newR.BurnRate != 0 {
-		fmt.Printf("compare: %-36s old %10.3f    new %10.3f    (informational)\n",
-			"burn_rate", oldR.BurnRate, newR.BurnRate)
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("p99 regression beyond %.0f%% (+%.0fµs floor) in: %v",

@@ -33,8 +33,7 @@ func main() {
 		seeds   = flag.Int("seeds", 1, "run each experiment under this many consecutive seeds (variance check)")
 		workers = flag.Int("workers", 1, "fan evaluations and sweep points across this many goroutines (1 = bit-exact serial)")
 		sbench  = flag.Int("servebench", 0, "run this many observed serve-path inferences and emit a metric snapshot instead of an experiment")
-		lgen    = flag.Int("loadgen", 0, "replay a seeded flash-crowd arrival trace of this many requests through the overload machinery and emit the shed/expired/goodput scoreboard")
-		obsOut  = flag.String("obs-out", "BENCH_serve.json", "servebench / loadgen output file")
+		obsOut  = flag.String("obs-out", "BENCH_serve.json", "servebench output file")
 		compare = flag.Bool("compare", false, "compare two servebench snapshots (args: old.json new.json); exit non-zero on gated p99 regression")
 		regress = flag.Float64("regress", 0.10, "-compare relative p99 regression threshold (0.10 = 10%)")
 		floorUs = flag.Float64("regress-floor-us", 50, "-compare absolute regression floor in µs; smaller deltas never fail the gate")
@@ -63,13 +62,6 @@ func main() {
 	if *sbench > 0 {
 		if err := runServeBench(*sbench, *obsOut, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "metaai-bench: servebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *lgen > 0 {
-		if err := runLoadgenBench(*lgen, *obsOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "metaai-bench: loadgen: %v\n", err)
 			os.Exit(1)
 		}
 		return

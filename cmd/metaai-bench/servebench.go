@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cplx"
-	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/ota"
 	"repro/internal/rng"
@@ -17,16 +16,11 @@ import (
 // serve worker's drain ceiling at `-batch 8`.
 const serveBatchSize = 8
 
-// serveBenchOut bundles one servebench run: the metric snapshot, the three
-// inference-loop wall times, and the flash-crowd loadgen scoreboard.
+// serveBenchOut bundles one servebench run: the metric snapshot and the
+// three inference-loop wall times.
 type serveBenchOut struct {
 	snap                   *obs.Snapshot
 	single, batch, cascade time.Duration
-	loadgen                loadgenResult
-	// fleetObs is the replayed fleet episode's observability plane: the
-	// merged per-replica snapshot (source of fleet_p99_micros) and the
-	// fleet SLO burn rates, all deterministic under the episode seed.
-	fleetObs fleet.ReplayObs
 }
 
 // serveBenchRun deploys a small random-weight over-the-air system, enables
@@ -34,14 +28,11 @@ type serveBenchOut struct {
 // same n through the batched zero-alloc path (AccumulateBatch sweeps of
 // serveBatchSize, magnitudes via AbsInto scratch, mirroring the serve
 // worker's steady state), then the sequential workload through a 2-layer
-// stacked cascade, then a replayed fleet episode (routing, failover,
-// eviction, replication, canary rollback, catch-up) so the snapshot carries
-// the serving hot paths AND the fleet.* series, and finally a virtual-time
-// flash-crowd loadgen episode so the loadgen.* overload counters land in
-// the fingerprint too. The whole run is a pure function of (n, seed) except
-// for wall-clock durations, so the snapshot's Fingerprint (counters,
-// gauges, histogram counts) is deterministic — the CI gate asserts exactly
-// that.
+// stacked cascade. The whole run is a pure function of (n, seed) except for
+// wall-clock durations, so the snapshot's Fingerprint (counters, gauges,
+// histogram counts) is deterministic — the CI gate asserts exactly that.
+// Measured fleet and overload numbers come from the e2ebench harness, which
+// drives the shipped binaries over loopback sockets.
 func serveBenchRun(n int, seed uint64) (serveBenchOut, error) {
 	obs.SetEnabled(true)
 	obs.Default().Reset()
@@ -118,24 +109,8 @@ func serveBenchRun(n int, seed uint64) (serveBenchOut, error) {
 	}
 	elapsedC := time.Since(startC)
 
-	// Fleet tier: one deterministic replayed episode drives the router's
-	// components (ring, detector, chunked replication) through their full
-	// failure repertoire, so the fleet.* counters land in the snapshot with
-	// reproducible values — and its observability plane (merged per-replica
-	// snapshots, SLO burn rates) feeds the fleet_p99_micros and burn_rate
-	// report fields.
-	_, fleetObs, err := fleet.ReplayWithObs(fleet.ReplayConfig{Seed: seed ^ 0xf1ee7})
-	if err != nil {
-		return serveBenchOut{}, err
-	}
-
-	// Overload tier: a seeded virtual-time flash crowd through the admission
-	// controller and deadline machinery — shed/expired/goodput with zero
-	// wall-clock dependence.
-	lg := runLoadgen(defaultLoadgen(n*40, seed^0x10ad))
-
 	snap := obs.Default().Snapshot()
-	return serveBenchOut{snap: &snap, single: elapsed, batch: elapsedB, cascade: elapsedC, loadgen: lg, fleetObs: fleetObs}, nil
+	return serveBenchOut{snap: &snap, single: elapsed, batch: elapsedB, cascade: elapsedC}, nil
 }
 
 // runServeBench executes serveBenchRun and writes the snapshot plus run
@@ -150,31 +125,7 @@ func runServeBench(n int, out string, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	// fleet_p99_micros comes from the MERGED per-replica latency histogram
-	// of the replayed episode; burn_rate is the worse of the fleet SLO's
-	// fast and slow windows. Both are deterministic under the episode seed.
-	fleetP99 := 0.0
-	if h, ok := r.fleetObs.Merged.Histograms["serve.request.seconds"]; ok {
-		fleetP99 = h.Quantile(0.99) * 1e6
-	}
-	burn := r.fleetObs.BurnFast
-	if r.fleetObs.BurnSlow > burn {
-		burn = r.fleetObs.BurnSlow
-	}
-	report := struct {
-		Bench             string        `json:"bench"`
-		Inferences        int           `json:"inferences"`
-		Seed              uint64        `json:"seed"`
-		BatchSize         int           `json:"batch_size"`
-		WallSeconds       float64       `json:"wall_seconds"`
-		MicrosPerInf      float64       `json:"micros_per_inference"`
-		MicrosPerInfBatch float64       `json:"micros_per_inference_batch"`
-		MicrosPerInfCas   float64       `json:"micros_per_inference_cascade2"`
-		FleetP99Micros    float64       `json:"fleet_p99_micros"`
-		BurnRate          float64       `json:"burn_rate"`
-		Loadgen           loadgenResult `json:"loadgen"`
-		Metrics           *obs.Snapshot `json:"metrics"`
-	}{
+	report := benchReport{
 		Bench:             "serve",
 		Inferences:        n,
 		Seed:              seed,
@@ -183,9 +134,6 @@ func runServeBench(n int, out string, seed uint64) error {
 		MicrosPerInf:      float64(r.single.Microseconds()) / float64(n),
 		MicrosPerInfBatch: float64(r.batch.Microseconds()) / float64(n),
 		MicrosPerInfCas:   float64(r.cascade.Microseconds()) / float64(n),
-		FleetP99Micros:    fleetP99,
-		BurnRate:          burn,
-		Loadgen:           r.loadgen,
 		Metrics:           r.snap,
 	}
 	blob, err := json.MarshalIndent(report, "", "  ")
@@ -196,8 +144,7 @@ func runServeBench(n int, out string, seed uint64) error {
 	if err := os.WriteFile(out, blob, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("servebench: %d inferences in %.3fs (%.1f µs each; batch-%d %.1f µs each; 2-layer cascade %.1f µs each; loadgen goodput %.3f, SLO attainment %.3f), snapshot written to %s\n",
-		n, r.single.Seconds(), report.MicrosPerInf, serveBatchSize, report.MicrosPerInfBatch, report.MicrosPerInfCas,
-		r.loadgen.Goodput, r.loadgen.SLOAttainment, out)
+	fmt.Printf("servebench: %d inferences in %.3fs (%.1f µs each; batch-%d %.1f µs each; 2-layer cascade %.1f µs each), snapshot written to %s\n",
+		n, r.single.Seconds(), report.MicrosPerInf, serveBatchSize, report.MicrosPerInfBatch, report.MicrosPerInfCas, out)
 	return nil
 }

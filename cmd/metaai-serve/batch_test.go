@@ -105,9 +105,7 @@ func TestEpochSwapChangingUNacksQueuedRequests(t *testing.T) {
 	if resp2.IsNack() || resp2.ID != 2 {
 		t.Fatalf("follow-up request got kind %d code %d id %d, want a data frame for id 2", resp2.Kind, resp2.Code, resp2.ID)
 	}
-	if srv.served.Load() != 1 {
-		t.Fatalf("served %d, want 1", srv.served.Load())
-	}
+	awaitServed(t, srv.served.Load, 1)
 }
 
 // nullWriter satisfies udpWriter without touching a socket: the kernel

@@ -129,6 +129,7 @@ func TestFleetStitchedTraceEndToEnd(t *testing.T) {
 	if _, err := exchange(conn, warm, 2*time.Second, 0, 20*time.Millisecond, 1, src); err != nil {
 		t.Fatal(err)
 	}
+	awaitServed(t, func() int64 { return reps[0].srv.served.Load() + reps[1].srv.served.Load() }, 1)
 	primary := 0
 	if reps[1].srv.served.Load() > 0 {
 		primary = 1
@@ -216,8 +217,8 @@ func TestFleetStitchedTraceEndToEnd(t *testing.T) {
 	}
 
 	var rootID string
-	hops := make(map[string]map[string]any)      // span_id -> args
-	outcomes := make(map[string]map[string]any)  // outcome -> args
+	hops := make(map[string]map[string]any)     // span_id -> args
+	outcomes := make(map[string]map[string]any) // outcome -> args
 	var serves []map[string]any
 	for _, ev := range parsed.TraceEvents {
 		switch ev.Name {

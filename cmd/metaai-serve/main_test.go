@@ -70,6 +70,21 @@ func dialServer(t *testing.T, addr *net.UDPAddr) *net.UDPConn {
 	return conn
 }
 
+// awaitServed waits up to 10s for served() to reach want, then asserts it
+// equals want exactly. processBatch counts a request as served only after
+// its reply's WriteToUDP returns, so a client can hold the reply before the
+// counter moves.
+func awaitServed(t *testing.T, served func() int64, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for served() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := served(); got != want {
+		t.Fatalf("served %d data frames, want %d", got, want)
+	}
+}
+
 func TestServeHotSwapZeroRequestLoss(t *testing.T) {
 	// The degraded-mode acceptance test: a damaged deployment serves a
 	// concurrent client load while the health monitor trips and the
@@ -141,24 +156,25 @@ func TestServeHotSwapZeroRequestLoss(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := srv.served.Load(); got != clients*perClient {
-		t.Fatalf("served %d data frames, want %d", got, clients*perClient)
-	}
+	awaitServed(t, srv.served.Load, clients*perClient)
 	if srv.shed.Load() != 0 {
 		t.Fatalf("server shed %d requests under a within-queue load", srv.shed.Load())
 	}
 	// A fast client load can drain before the supervisor's next tick; the
 	// monitor window stays full, so the heal is still guaranteed — wait for
-	// it instead of racing it.
+	// it instead of racing it. Poll the atomic swap count, not Healed(): the
+	// supervisor sets the injector's plain healed flag and only then
+	// publishes the swap, so reading Healed() after the swap shows is
+	// ordered after that write.
 	deadline := time.Now().Add(10 * time.Second)
-	for (!inj.Healed() || srv.swaps.Load() == 0) && time.Now().Before(deadline) {
+	for srv.swaps.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
-	}
-	if !inj.Healed() {
-		t.Fatal("health monitor never triggered the masked-atom heal")
 	}
 	if srv.swaps.Load() == 0 {
 		t.Fatal("no epoch swap was published")
+	}
+	if !inj.Healed() {
+		t.Fatal("health monitor never triggered the masked-atom heal")
 	}
 }
 

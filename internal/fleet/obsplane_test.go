@@ -1,93 +1,183 @@
 package fleet
 
 import (
+	"net"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/netchaos"
+	"repro/internal/airproto"
+	"repro/internal/obs"
 	"repro/internal/obs/slo"
 )
 
-// TestReplayObsDeterministic pins the replay's observability plane: two
-// runs with the same config must agree on the merged-snapshot fingerprint,
-// the per-replica snapshots, the burn rates, and the health scores — the
-// property the obsgate extension asserts through the serve bench.
-func TestReplayObsDeterministic(t *testing.T) {
-	cfg := ReplayConfig{Seed: 42, Chaos: &netchaos.Config{
-		Inbound:  netchaos.Mix(0.1),
-		Outbound: netchaos.Mix(0.1),
-		Seed:     42,
-	}}
-	st1, ob1, err := ReplayWithObs(cfg)
+// serveAgent answers frames for a bare Agent on a loopback UDP socket until
+// the test ends: heartbeats in, health vector plus piggybacked snapshot out.
+func serveAgent(t *testing.T, a *Agent) *net.UDPAddr {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
-		t.Fatalf("first replay: %v", err)
+		t.Fatal(err)
 	}
-	st2, ob2, err := ReplayWithObs(cfg)
-	if err != nil {
-		t.Fatalf("second replay: %v", err)
-	}
-	if st1 != st2 {
-		t.Fatalf("tallies diverged: %+v vs %+v", st1, st2)
-	}
-	f1, f2 := ob1.Merged.Fingerprint(), ob2.Merged.Fingerprint()
-	if !reflect.DeepEqual(f1, f2) {
-		t.Fatalf("merged fingerprints diverged:\n a=%v\n b=%v", f1, f2)
-	}
-	if ob1.BurnFast != ob2.BurnFast || ob1.BurnSlow != ob2.BurnSlow {
-		t.Fatalf("burn rates diverged: (%v,%v) vs (%v,%v)",
-			ob1.BurnFast, ob1.BurnSlow, ob2.BurnFast, ob2.BurnSlow)
-	}
-	if !reflect.DeepEqual(ob1.Health, ob2.Health) {
-		t.Fatalf("health scores diverged: %v vs %v", ob1.Health, ob2.Health)
-	}
-	if !reflect.DeepEqual(ob1.PerReplica, ob2.PerReplica) {
-		t.Fatal("per-replica snapshots diverged")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 65535)
+		for {
+			n, from, err := conn.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			f, err := airproto.Unmarshal(buf[:n])
+			if err != nil {
+				continue
+			}
+			if reply, ok := a.HandleFrame(f); ok {
+				if out, err := reply.Marshal(); err == nil {
+					conn.WriteToUDP(out, from)
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		conn.Close()
+		<-done
+	})
+	return conn.LocalAddr().(*net.UDPAddr)
+}
+
+// waitUntil polls cond for up to 10s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestReplayObsConsistentWithTallies checks the obs plane against the
-// episode's own ledger: every forwarded request appears exactly once as a
-// replica-side serve.served count and a serve.request.seconds observation,
-// across all replicas, and the merge preserves the totals.
-func TestReplayObsConsistentWithTallies(t *testing.T) {
-	st, ob, err := ReplayWithObs(ReplayConfig{Seed: 7})
+// TestRouterFleetMetricsPlane drives the router's half of the metrics plane
+// over real sockets: two agents piggyback their own registries on heartbeat
+// replies, and the router must merge them into FleetSnapshot, answer
+// KindStats with the fleet sums and merged p99, and keep a member's last
+// good snapshot when a later blob fails its CRC.
+func TestRouterFleetMetricsPlane(t *testing.T) {
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	regA.Counter("serve.served").Add(30)
+	regB.Counter("serve.served").Add(2)
+	for i := 0; i < 30; i++ {
+		regA.Histogram("serve.request.seconds", nil).Observe(200e-6)
+	}
+	for i := 0; i < 2; i++ {
+		regB.Histogram("serve.request.seconds", nil).Observe(40e-3)
+	}
+	source := func(reg *obs.Registry) func() []byte {
+		return func() []byte { return obs.EncodeSnapshot(reg.Snapshot()) }
+	}
+	// Agent a reports its reply ordinal as HBFleetSeq, so MemberFleetSeq
+	// shows which of its replies the router has consumed.
+	var repliesA atomic.Int64
+	agentA := NewAgent(func() []float64 { return []float64{float64(repliesA.Add(1))} }, nil)
+	agentB := NewAgent(nil, nil)
+	agentA.SetSnapshotSource(source(regA))
+	agentB.SetSnapshotSource(source(regB))
+	addrA, addrB := serveAgent(t, agentA), serveAgent(t, agentB)
+
+	router, err := NewRouter(Config{
+		Replicas:         []Replica{{Name: "a", Addr: addrA.String()}, {Name: "b", Addr: addrB.String()}},
+		HeartbeatEvery:   10 * time.Millisecond,
+		HeartbeatTimeout: 500 * time.Millisecond,
+		Seed:             1,
+	})
 	if err != nil {
-		t.Fatalf("replay: %v", err)
+		t.Fatal(err)
 	}
-	if len(ob.PerReplica) != 3 {
-		t.Fatalf("want 3 per-replica snapshots, got %d", len(ob.PerReplica))
+	defer router.Close()
+	front, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var served, histCount int64
-	for name, snap := range ob.PerReplica {
-		served += snap.Counters["serve.served"]
-		h, ok := snap.Histograms["serve.request.seconds"]
-		if !ok {
-			t.Fatalf("%s snapshot missing serve.request.seconds", name)
-		}
-		histCount += h.Count
+	served := make(chan error, 1)
+	go func() { served <- router.Serve(front) }()
+	defer func() {
+		front.Close()
+		<-served
+	}()
+
+	waitUntil(t, "both snapshots merged", func() bool {
+		_, per := router.FleetSnapshot()
+		return len(per) == 2
+	})
+	want := obs.MergeSnapshots(regA.Snapshot(), regB.Snapshot())
+	merged, per := router.FleetSnapshot()
+	if !reflect.DeepEqual(merged.Fingerprint(), want.Fingerprint()) {
+		t.Fatalf("merged fingerprint %v, want %v", merged.Fingerprint(), want.Fingerprint())
 	}
-	if served != int64(st.Forwards) {
-		t.Fatalf("per-replica serve.served sums to %d, episode forwarded %d", served, st.Forwards)
+
+	client, err := net.DialUDP("udp", nil, front.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if histCount != int64(st.Forwards) {
-		t.Fatalf("per-replica latency observations sum to %d, episode forwarded %d", histCount, st.Forwards)
+	defer client.Close()
+	out, err := (&airproto.Frame{Kind: airproto.KindStats, ID: 9}).Marshal()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := ob.Merged.Counters["serve.served"]; got != int64(st.Forwards) {
-		t.Fatalf("merged serve.served = %d, want %d", got, st.Forwards)
+	if _, err := client.Write(out); err != nil {
+		t.Fatal(err)
 	}
-	if got := ob.Merged.Histograms["serve.request.seconds"].Count; got != int64(st.Forwards) {
-		t.Fatalf("merged latency count = %d, want %d", got, st.Forwards)
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 65535)
+	n, err := client.Read(buf)
+	if err != nil {
+		t.Fatalf("no KindStats reply from the router: %v", err)
 	}
-	// Every draw in the clean episode lands within the SLO target, so the
-	// fleet budget never burns and every replica scores perfect health.
-	if ob.BurnFast != 0 || ob.BurnSlow != 0 {
-		t.Fatalf("clean episode burned budget: fast=%v slow=%v", ob.BurnFast, ob.BurnSlow)
+	resp, err := airproto.Unmarshal(buf[:n])
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, h := range ob.Health {
-		if h != 1 {
-			t.Fatalf("clean episode: %s health = %v, want 1", name, h)
-		}
+	if resp.Kind != airproto.KindStats || resp.Code != airproto.StatsVersionFleet || len(resp.Data) < airproto.FleetStatsVectorLen {
+		t.Fatalf("stats reply kind %d code %d len %d, want a fleet stats vector", resp.Kind, resp.Code, len(resp.Data))
+	}
+	if got := real(resp.Data[airproto.StatServed]); got != 32 {
+		t.Fatalf("StatServed = %v, want 32 (30 + 2)", got)
+	}
+	// The wire carries float32 samples, so compare at that precision. Agent
+	// b's two 40ms requests are the merged top 6%: p99 lands in their bucket.
+	p99 := want.Histograms["serve.request.seconds"].Quantile(0.99) * 1e6
+	if p99 < 10e3 {
+		t.Fatalf("merged p99 %vµs: the fixture no longer puts it in agent b's bucket", p99)
+	}
+	if got := real(resp.Data[airproto.FleetStatP99Micros]); got != float64(float32(p99)) {
+		t.Fatalf("FleetStatP99Micros = %v, want %v", got, float32(p99))
+	}
+
+	// A newer blob whose CRC tail is mangled must be dropped: agent a's last
+	// good snapshot stands, not the newer counts inside the bad blob.
+	regA.Counter("serve.served").Add(100)
+	bad := obs.EncodeSnapshot(regA.Snapshot())
+	bad[len(bad)-1] ^= 0xff
+	if _, err := obs.DecodeSnapshot(bad); err == nil {
+		t.Fatal("mangled blob still decodes")
+	}
+	var firstBad atomic.Int64
+	agentA.SetSnapshotSource(func() []byte {
+		firstBad.CompareAndSwap(0, repliesA.Load())
+		return bad
+	})
+	waitUntil(t, "the router to consume two replies after the first bad blob", func() bool {
+		seq, _ := router.MemberFleetSeq("a")
+		return firstBad.Load() > 0 && int64(seq) >= firstBad.Load()+2
+	})
+	after, afterPer := router.FleetSnapshot()
+	if !reflect.DeepEqual(after.Fingerprint(), merged.Fingerprint()) {
+		t.Fatalf("fingerprint after the bad blob %v, want the last good %v", after.Fingerprint(), merged.Fingerprint())
+	}
+	if !reflect.DeepEqual(afterPer["a"], per["a"]) {
+		t.Fatalf("member a's snapshot changed on a bad blob: %+v", afterPer["a"])
 	}
 }
 

@@ -675,8 +675,10 @@ func (r *Router) liveCount() int {
 // production, or a chaos-wrapped one when the front link itself is under
 // fault injection.
 func (r *Router) Serve(conn netchaos.PacketConn) error {
+	// One read buffer for the socket's lifetime: Unmarshal copies the
+	// payload out, so nothing handed to a goroutine aliases it.
+	buf := make([]byte, 65535)
 	for {
-		buf := make([]byte, 65535)
 		n, from, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			return err

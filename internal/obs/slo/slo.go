@@ -11,7 +11,9 @@
 // classic multi-window guard against paging on a single lost packet.
 //
 // The tracker is a pure function of its Observe sequence: no wall clock,
-// no rng, so fleet.Replay drives it deterministically.
+// no rng, so a test replays any outcome sequence deterministically. The
+// fleet router feeds it live forward outcomes, one tracker per replica plus
+// one fleet-wide.
 package slo
 
 import "sync"
