@@ -48,12 +48,14 @@ obsgate:
 # loaded CI machines, which is exactly the noise the floor exists to reject
 # when a human runs -compare old vs new). The zero-alloc steady-state tests
 # are the alloc-regression half of the gate: any allocation creeping into
-# the batched serving hot path fails them deterministically, without
+# the batched serving hot path, or into the per-sample LNN training step
+# every replica cold start runs, fails them deterministically, without
 # depending on wall-clock benchmark numbers.
 benchgate:
 	$(GO) test -run 'TestCompare' ./cmd/metaai-bench
 	$(GO) test -count=1 -run 'TestAccumulateSteadyStateZeroAlloc' ./internal/ota
 	$(GO) test -count=1 -run 'TestWorkerBatchSteadyStateZeroAlloc' ./cmd/metaai-serve
+	$(GO) test -count=1 -run 'TestTrainLNNStepZeroAlloc' ./internal/nn
 	$(GO) run ./cmd/metaai-bench -servebench 100 -obs-out .benchgate.json
 	$(GO) run ./cmd/metaai-bench -compare .benchgate.json .benchgate.json
 	rm -f .benchgate.json

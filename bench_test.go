@@ -83,6 +83,19 @@ func evalPipeline(b *testing.B) *metaai.Pipeline {
 	return benchPipe.pipe
 }
 
+// BenchmarkColdStart measures what every replica pays before it serves:
+// the default MNIST pipeline end to end — dataset synthesis, CDFA-augmented
+// LNN training, and the R·U-target schedule solve. Run it with -benchmem;
+// allocs/op tracks the training step's per-sample scaffolding.
+func BenchmarkColdStart(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := metaai.Run(metaai.DefaultConfig("mnist")); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEvaluateSerial / BenchmarkEvaluateParallel measure one full
 // over-the-air evaluation of the test set through the bound session versus
 // GOMAXPROCS per-worker sessions of the same deployment. On a multi-core

@@ -9,7 +9,7 @@
 // z ← z − η·g_z, and ∂L/∂z = conj(g_z). Chain rules used by the ops:
 //
 //	c = a·b (holomorphic):  g_a += g_c·conj(b),  g_b += g_c·conj(a)
-//	r = |c| (real output):  g_c += ḡ_r · c/(2|c|) · 2 = ḡ_r·c/|c|  … see Abs
+//	r = |c| (real output):  g_c += ḡ_r·c/(2|c|)  (∂r/∂c̄ = c/(2|c|); see Abs)
 //	y = x·e^{jφ}, φ real:   dL/dφ = 2·Re(conj(g_y)·j·y)
 //
 // Parameters live outside the tape in CParam/RParam leaves whose gradients
@@ -484,21 +484,7 @@ func (t *Tape) SoftmaxCE(logits RVec, label int) (RVec, float64) {
 	if label < 0 || label >= len(lv) {
 		panic(fmt.Sprintf("autodiff: label %d out of range %d", label, len(lv)))
 	}
-	max := lv[0]
-	for _, v := range lv[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	var z float64
-	probs := make([]float64, len(lv))
-	for i, v := range lv {
-		probs[i] = math.Exp(v - max)
-		z += probs[i]
-	}
-	for i := range probs {
-		probs[i] /= z
-	}
+	probs := SoftmaxInto(make([]float64, len(lv)), lv)
 	loss := -math.Log(probs[label])
 	ln := logits.n
 	n := t.push(&node{
@@ -538,20 +524,26 @@ func Softmax(xs []float64) []float64 {
 	if len(xs) == 0 {
 		return nil
 	}
+	return SoftmaxInto(make([]float64, len(xs)), xs)
+}
+
+// SoftmaxInto writes the softmax of a non-empty xs into dst (len(dst) ==
+// len(xs)) and returns dst — the allocation-free form hand-derived training
+// steps reuse. SoftmaxCE and Softmax share its arithmetic.
+func SoftmaxInto(dst, xs []float64) []float64 {
 	max := xs[0]
 	for _, v := range xs[1:] {
 		if v > max {
 			max = v
 		}
 	}
-	out := make([]float64, len(xs))
 	var z float64
 	for i, v := range xs {
-		out[i] = math.Exp(v - max)
-		z += out[i]
+		dst[i] = math.Exp(v - max)
+		z += dst[i]
 	}
-	for i := range out {
-		out[i] /= z
+	for i := range dst {
+		dst[i] /= z
 	}
-	return out
+	return dst
 }

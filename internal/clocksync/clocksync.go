@@ -179,15 +179,19 @@ func ApplyOffset(x []complex128, offset float64) []complex128 {
 	}
 	k := int(math.Floor(offset))
 	f := offset - float64(k)
-	shifted := nn.CyclicShift(x, -k)
 	if f < 1e-9 {
-		return shifted
+		return nn.CyclicShift(x, -k)
 	}
-	next := nn.CyclicShift(x, -(k + 1))
 	out := make([]complex128, n)
 	cf := complex(f, 0)
+	j := ((k % n) + n) % n // out[i] mixes x[(i+k) mod n] and its successor
 	for i := range out {
-		out[i] = shifted[i]*(1-cf) + next[i]*cf
+		next := j + 1
+		if next == n {
+			next = 0
+		}
+		out[i] = x[j]*(1-cf) + x[next]*cf
+		j = next
 	}
 	return out
 }

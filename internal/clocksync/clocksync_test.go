@@ -107,6 +107,58 @@ func TestApplyOffsetFractionalInterpolates(t *testing.T) {
 	}
 }
 
+// applyOffsetShifts is ApplyOffset's reference formulation: mix two
+// CyclicShift copies of the stream.
+func applyOffsetShifts(x []complex128, offset float64) []complex128 {
+	n := len(x)
+	if n == 0 {
+		return nil
+	}
+	k := int(math.Floor(offset))
+	f := offset - float64(k)
+	shifted := nn.CyclicShift(x, -k)
+	if f < 1e-9 {
+		return shifted
+	}
+	next := nn.CyclicShift(x, -(k + 1))
+	out := make([]complex128, n)
+	cf := complex(f, 0)
+	for i := range out {
+		out[i] = shifted[i]*(1-cf) + next[i]*cf
+	}
+	return out
+}
+
+func TestApplyOffsetMatchesCyclicShiftFormulation(t *testing.T) {
+	src := rng.New(11)
+	offsets := []float64{0, 1, 2, 5, 63, 64, 65, 130, -1, -3, -64, -65, -129,
+		0.25, 1.5, 2.999, 1e-10, 63.75, 64.5, 200.125, -0.5, -1.25, -66.75, 3.0000000001}
+	for _, n := range []int{1, 2, 3, 64, 65} {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = src.ComplexNormal(1)
+		}
+		for _, off := range append(offsets, 10*src.Float64()-5, 300*src.Float64()) {
+			got, want := ApplyOffset(x, off), applyOffsetShifts(x, off)
+			for i := range want {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("n=%d offset=%v: out[%d] = %v, want %v", n, off, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestApplyOffsetAllocatesOnlyOutput(t *testing.T) {
+	x := make([]complex128, 64)
+	for _, off := range []float64{3, 3.5} {
+		if a := testing.AllocsPerRun(10, func() { ApplyOffset(x, off) }); a != 1 {
+			t.Fatalf("ApplyOffset(%v) allocates %v times, want 1", off, a)
+		}
+	}
+}
+
 func TestSymbolPeriod(t *testing.T) {
 	if got := SymbolPeriodUs(1e6); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("1 Msym/s period = %v µs", got)

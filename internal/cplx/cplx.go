@@ -225,7 +225,13 @@ func WrapPhase(theta float64) float64 {
 // [0, π]. The metasurface config solver uses it to pick the discrete state
 // closest to a target phase.
 func PhaseDistance(a, b float64) float64 {
-	d := math.Abs(WrapPhase(a) - WrapPhase(b))
+	return WrappedPhaseDistance(WrapPhase(a), WrapPhase(b))
+}
+
+// WrappedPhaseDistance is PhaseDistance for two phases already reduced by
+// WrapPhase — the form a solver uses when it wraps each phase once up front.
+func WrappedPhaseDistance(a, b float64) float64 {
+	d := math.Abs(a - b)
 	if d > math.Pi {
 		d = 2*math.Pi - d
 	}

@@ -23,7 +23,7 @@
 // Static faults (stuck atoms) are applied at the deployment level, by
 // re-evaluating the realized responses the defective surface actually
 // plays; dynamic faults ride a per-session ota.FaultHook. Heal re-solves
-// the schedule with the stuck atoms pinned (mts.SolveTargetMasked) and
+// the schedule with the stuck atoms pinned (mts.Solver.SolveMasked) and
 // returns a fresh deployment to swap in behind an atomic pointer — the
 // serving stack loses no in-flight request.
 package faults
@@ -300,13 +300,13 @@ func (in *Injector) PreviewHealSpan(parent *trace.Span) (*ota.Deployment, error)
 		if err != nil {
 			return nil, err
 		}
-		estPP := in.orig.EstLayerPathPhases(in.layer)
+		solver := ideal.NewSolver(in.orig.EstLayerPathPhases(in.layer))
 		ssp := mts.StartSolveSpan(hsp, "masked", in.orig.Classes()*in.orig.InputLen())
 		for r := range sched {
 			sched[r] = make([]mts.Config, in.orig.InputLen())
 			for i := range sched[r] {
-				target := ideal.Response(origSched[r][i], estPP)
-				cfg, _ := ideal.SolveTargetMasked(target, estPP, in.stuck)
+				target := solver.Response(origSched[r][i])
+				cfg, _ := solver.SolveMasked(target, in.stuck)
 				sched[r][i] = cfg
 			}
 		}

@@ -20,11 +20,11 @@ import (
 //
 //	H_ℓ ≈ target / (S_ℓ · Π_{k≠ℓ} S_k H_k)
 //
-// is exactly Eqn 7 again, so each step reuses SolveTarget — or
-// SolveTargetMasked when the layer carries pinned (stuck) atoms. Extra
-// layers are initialized phase-aligned (their maximum-magnitude state), the
-// configuration every relay hop would idle in, which makes the first
-// layer-0 solve see the full cascade gain.
+// is exactly Eqn 7 again, so each step reuses the layer's Solver — masked
+// when the layer carries pinned (stuck) atoms. Extra layers are initialized
+// phase-aligned (their maximum-magnitude state), the configuration every
+// relay hop would idle in, which makes the first layer-0 solve see the full
+// cascade gain.
 //
 // A 1-layer cascade delegates to SolveTargetMasked directly and is
 // bit-identical to the single-surface solver.
@@ -76,16 +76,21 @@ func (cs *CascadeSolver) Solve(target complex128) ([]Config, complex128) {
 	t := obs.StartTimer()
 	defer t.ObserveInto(cascadeSolveSecs)
 
+	// Every pass re-solves the same layer paths: tabulate each layer once.
+	solvers := make([]*Solver, k)
+	for l := range solvers {
+		solvers[l] = cs.Surfaces[l].NewSolver(cs.Paths[l])
+	}
 	cfgs := make([]Config, k)
 	resp := make([]complex128, k) // scaled per-layer responses S_k·H_k
 	// Initialize every non-primary layer phase-aligned at its pinned states.
 	for l := 1; l < k; l++ {
-		cfg := cs.Surfaces[l].alignConfig(0, cs.Paths[l])
+		cfg := solvers[l].align(0)
 		for m, st := range cs.pinnedAt(l) {
 			cfg[m] = st
 		}
 		cfgs[l] = cfg
-		resp[l] = cs.Scales[l] * cs.Surfaces[l].Response(cfg, cs.Paths[l])
+		resp[l] = cs.Scales[l] * solvers[l].Response(cfg)
 	}
 	passes := cs.Passes
 	if passes <= 0 {
@@ -103,7 +108,7 @@ func (cs *CascadeSolver) Solve(target complex128) ([]Config, complex128) {
 			if denom == 0 || cmplx.IsNaN(denom) || cmplx.IsInf(denom) {
 				continue // a degenerate layer response; keep the current config
 			}
-			cfg, got := cs.Surfaces[l].SolveTargetMasked(target/denom, cs.Paths[l], cs.pinnedAt(l))
+			cfg, got := solvers[l].SolveMasked(target/denom, cs.pinnedAt(l))
 			cfgs[l] = cfg
 			resp[l] = cs.Scales[l] * got
 			counters[l].Inc()

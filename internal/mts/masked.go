@@ -1,11 +1,6 @@
 package mts
 
-import (
-	"math/cmplx"
-
-	"repro/internal/cplx"
-	"repro/internal/obs"
-)
+import "math/cmplx"
 
 // SolveTargetMasked solves Eqn 7 with a subset of atoms pinned to fixed
 // states — the degraded-mode re-solve for a surface with known stuck atoms
@@ -19,58 +14,7 @@ import (
 //
 // With an empty pin set the solve degrades to SolveTarget bit for bit.
 func (s *Surface) SolveTargetMasked(target complex128, pathPhases []float64, pinned map[int]uint8) (Config, complex128) {
-	if len(pinned) == 0 {
-		return s.SolveTarget(target, pathPhases)
-	}
-	solveMaskedCalls.Inc()
-	t := obs.StartTimer()
-	defer t.ObserveInto(solveMaskedSecs)
-	var nPasses, nFlips int64
-	defer func() { solvePasses.Add(nPasses); solveFlips.Add(nFlips) }()
-	cfg := s.alignConfig(cmplx.Phase(target), pathPhases)
-	for m, st := range pinned {
-		cfg[m] = st
-	}
-	ph := make([]complex128, len(cfg))
-	var sum complex128
-	for m := range cfg {
-		ph[m] = cplx.Expi(pathPhases[m] + s.states[cfg[m]])
-		sum += ph[m]
-	}
-	const passes = 3
-	for p := 0; p < passes; p++ {
-		nPasses++
-		improved := false
-		for m := range cfg {
-			if _, stuck := pinned[m]; stuck {
-				continue
-			}
-			base := sum - ph[m]
-			bestErr := cmplx.Abs(base + ph[m] - target)
-			bestState := cfg[m]
-			bestPh := ph[m]
-			for i := range s.states {
-				if uint8(i) == cfg[m] {
-					continue
-				}
-				cand := cplx.Expi(pathPhases[m] + s.states[i])
-				if e := cmplx.Abs(base + cand - target); e < bestErr {
-					bestErr, bestState, bestPh = e, uint8(i), cand
-				}
-			}
-			if bestState != cfg[m] {
-				cfg[m] = bestState
-				sum = base + bestPh
-				ph[m] = bestPh
-				improved = true
-				nFlips++
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return cfg, sum
+	return s.NewSolver(pathPhases).SolveMasked(target, pinned)
 }
 
 // MaskedSolveError returns the mean relative residual of re-solving the
@@ -90,9 +34,10 @@ func (s *Surface) MaskedSolveError(targets []complex128, pathPhases []float64, p
 	if maxT == 0 {
 		return 0
 	}
+	sv := s.NewSolver(pathPhases)
 	var sum float64
 	for _, t := range targets {
-		_, got := s.SolveTargetMasked(t, pathPhases, pinned)
+		_, got := sv.SolveMasked(t, pinned)
 		sum += cmplx.Abs(got - t)
 	}
 	return sum / (float64(len(targets)) * maxT)

@@ -19,7 +19,6 @@ import (
 	"math/cmplx"
 
 	"repro/internal/cplx"
-	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -268,16 +267,27 @@ func (s *Surface) AlignedConfig(pathPhases []float64) Config {
 // targetPhase — the greedy beam-steering initialization.
 func (s *Surface) alignConfig(targetPhase float64, pathPhases []float64) Config {
 	cfg := make(Config, len(pathPhases))
+	wrapped := make([]float64, len(s.states))
+	wt := cplx.WrapPhase(targetPhase)
 	for m, pp := range pathPhases {
-		best, arg := math.Inf(1), 0
 		for i, st := range s.states {
-			if d := cplx.PhaseDistance(pp+st, targetPhase); d < best {
-				best, arg = d, i
-			}
+			wrapped[i] = cplx.WrapPhase(pp + st)
 		}
-		cfg[m] = uint8(arg)
+		cfg[m] = nearestState(wrapped, wt)
 	}
 	return cfg
+}
+
+// nearestState returns the state whose wrapped total phase lies closest to
+// the wrapped target phase wt (the first on ties).
+func nearestState(wrapped []float64, wt float64) uint8 {
+	best, arg := math.Inf(1), 0
+	for i, w := range wrapped {
+		if d := cplx.WrappedPhaseDistance(w, wt); d < best {
+			best, arg = d, i
+		}
+	}
+	return uint8(arg)
 }
 
 // SolveTarget solves Eqn 7: it finds the discrete configuration whose array
@@ -286,52 +296,10 @@ func (s *Surface) alignConfig(targetPhase float64, pathPhases []float64) Config 
 // into canceling pairs when the target magnitude is small, then runs
 // coordinate-descent refinement passes (each atom in turn tries all states,
 // keeping the best incremental sum). It returns the configuration and the
-// achieved ideal response.
+// achieved ideal response. Solving many targets against the same path
+// phases, bind them once with NewSolver instead.
 func (s *Surface) SolveTarget(target complex128, pathPhases []float64) (Config, complex128) {
-	solveCalls.Inc()
-	t := obs.StartTimer()
-	defer t.ObserveInto(solveSeconds)
-	var nPasses, nFlips int64
-	defer func() { solvePasses.Add(nPasses); solveFlips.Add(nFlips) }()
-	cfg := s.alignConfig(cmplx.Phase(target), pathPhases)
-	// Per-atom phasors under the current configuration.
-	ph := make([]complex128, len(cfg))
-	var sum complex128
-	for m := range cfg {
-		ph[m] = cplx.Expi(pathPhases[m] + s.states[cfg[m]])
-		sum += ph[m]
-	}
-	const passes = 3
-	for p := 0; p < passes; p++ {
-		nPasses++
-		improved := false
-		for m := range cfg {
-			base := sum - ph[m]
-			bestErr := cmplx.Abs(base + ph[m] - target)
-			bestState := cfg[m]
-			bestPh := ph[m]
-			for i := range s.states {
-				if uint8(i) == cfg[m] {
-					continue
-				}
-				cand := cplx.Expi(pathPhases[m] + s.states[i])
-				if e := cmplx.Abs(base + cand - target); e < bestErr {
-					bestErr, bestState, bestPh = e, uint8(i), cand
-				}
-			}
-			if bestState != cfg[m] {
-				cfg[m] = bestState
-				sum = base + bestPh
-				ph[m] = bestPh
-				improved = true
-				nFlips++
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return cfg, sum
+	return s.NewSolver(pathPhases).Solve(target)
 }
 
 // SolveTargetGreedy runs only the greedy phase-alignment initialization of

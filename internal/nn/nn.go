@@ -6,8 +6,9 @@
 // CNN standing in for the paper's ResNet-18 upper bound.
 //
 // The training recipe follows §4: SGD with momentum 0.95, learning rate
-// 8·10⁻³, batch size 64, 60 epochs, complex-valued backpropagation (package
-// autodiff). The trainer exposes the two augmentation hooks the paper's
+// 8·10⁻³, batch size 64, 60 epochs, complex-valued backpropagation (the
+// Wirtinger calculus of package autodiff, hand-derived for the LNN's single
+// layer). The trainer exposes the two augmentation hooks the paper's
 // robustness schemes are built on: an input augmenter (CDFA's cyclic-shift
 // synchronization-error injector, §3.5.1, and the hardware-noise-as-input
 // trick of Eqn 14) and an output-noise injector (environmental noise N_e of
@@ -17,6 +18,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"repro/internal/autodiff"
 	"repro/internal/cplx"
@@ -147,7 +149,9 @@ func EncodeSet(samples []dataset.Sample, classes int, enc Encoder) *EncodedSet {
 }
 
 // TrainLNN trains a ComplexLNN on the encoded set with SGD+momentum and the
-// configured augmentations, returning the trained model.
+// configured augmentations, returning the trained model. Each sample runs
+// one fused forward/backward step (lnnStep) over buffers reused for the
+// whole run, so with no augmenters training allocates nothing per sample.
 func TrainLNN(train *EncodedSet, cfg TrainConfig) *ComplexLNN {
 	cfg = cfg.withDefaults()
 	if len(train.X) == 0 {
@@ -161,6 +165,7 @@ func TrainLNN(train *EncodedSet, cfg TrainConfig) *ComplexLNN {
 	for i := range order {
 		order[i] = i
 	}
+	step := newLNNStep(train.Classes)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < len(order); start += cfg.Batch {
@@ -171,16 +176,11 @@ func TrainLNN(train *EncodedSet, cfg TrainConfig) *ComplexLNN {
 				if cfg.InputAug != nil {
 					x = cfg.InputAug(x, src)
 				}
-				tp := autodiff.NewTape()
-				y := tp.MatVec(m.W, tp.ConstC(x))
+				var noise []complex128
 				if cfg.OutputNoise != nil {
-					if noise := cfg.OutputNoise(train.Classes, src); noise != nil {
-						y = tp.AddConstC(y, noise)
-					}
+					noise = cfg.OutputNoise(train.Classes, src)
 				}
-				mag := tp.Abs(y)
-				lnode, _ := tp.SoftmaxCE(mag, train.Labels[idx])
-				tp.Backward(lnode)
+				step.accumulate(m.W, x, noise, train.Labels[idx])
 			}
 			scale := complex(cfg.LR/float64(end-start), 0)
 			mom := complex(cfg.Momentum, 0)
@@ -191,6 +191,74 @@ func TrainLNN(train *EncodedSet, cfg TrainConfig) *ComplexLNN {
 		}
 	}
 	return m
+}
+
+// lnnStep is one hand-derived training step of the LNN loss
+// L = CE(softmax(|W·x + N_e|), label), with its per-sample buffers.
+type lnnStep struct {
+	z     []complex128 // pre-magnitude outputs W·x + N_e
+	mag   []float64    // |z|, the class scores
+	probs []float64    // softmax(|z|)
+}
+
+func newLNNStep(classes int) *lnnStep {
+	return &lnnStep{
+		z:     make([]complex128, classes),
+		mag:   make([]float64, classes),
+		probs: make([]float64, classes),
+	}
+}
+
+// accumulate runs one sample forward and adds its gradient ∂L/∂W̄ into
+// w.Grad. noise (nil for none) is the additive output noise N_e. The
+// backward pass is the Wirtinger chain rule of package autodiff written
+// out: ∂L/∂|z_r| = p_r − [r = label], ∂L/∂z̄_r = that·z_r/(2|z_r|), and
+// ∂L/∂W̄[r,c] += ∂L/∂z̄_r·conj(x_c). x is a constant, so no adjoint flows
+// into it.
+func (st *lnnStep) accumulate(w *autodiff.CParam, x, noise []complex128, label int) {
+	if len(x) != w.Cols {
+		panic(fmt.Sprintf("nn: %d-symbol input for a %dx%d network", len(x), w.Rows, w.Cols))
+	}
+	if label < 0 || label >= w.Rows {
+		panic(fmt.Sprintf("nn: label %d out of range %d", label, w.Rows))
+	}
+	for r := range st.z {
+		row := w.Val[r*w.Cols : (r+1)*w.Cols]
+		var sum complex128
+		for c, wv := range row {
+			sum += wv * x[c]
+		}
+		st.z[r] = sum
+	}
+	if noise != nil {
+		if len(noise) != len(st.z) {
+			panic(fmt.Sprintf("nn: %d output-noise values for %d classes", len(noise), len(st.z)))
+		}
+		for r := range st.z {
+			st.z[r] += noise[r]
+		}
+	}
+	for r, v := range st.z {
+		st.mag[r] = cmplx.Abs(v)
+	}
+	autodiff.SoftmaxInto(st.probs, st.mag)
+	for r, p := range st.probs {
+		g := p
+		if r == label {
+			g -= 1
+		}
+		if g == 0 || st.mag[r] == 0 {
+			continue // |z| = 0 propagates a zero subgradient
+		}
+		gy := complex(g/(2*st.mag[r]), 0) * st.z[r]
+		if gy == 0 {
+			continue
+		}
+		grow := w.Grad[r*w.Cols : (r+1)*w.Cols]
+		for c := range grow {
+			grow[c] += gy * cmplx.Conj(x[c])
+		}
+	}
 }
 
 // Predictor is anything that classifies encoded inputs; both digital models

@@ -305,6 +305,10 @@ func NewDeploymentSpan(w *cplx.Mat, opts Options, src *rng.Source, parent *trace
 			return (target - envPhys) * inv
 		}
 	}
+	// One table per path set: the solver frame's estimated phases, and the
+	// true phases the physically realized responses are evaluated at.
+	solver := idealSurface.NewSolver(estPP)
+	truth := opts.Surface.NewSolver(truePP)
 	ssp := mts.StartSolveSpan(parent, "schedule", w.Rows*w.Cols)
 	ssp.SetNum("classes", float64(w.Rows))
 	ssp.SetNum("u", float64(w.Cols))
@@ -314,10 +318,10 @@ func NewDeploymentSpan(w *cplx.Mat, opts Options, src *rng.Source, parent *trace
 		d.Schedule[r] = make([]mts.Config, w.Cols)
 		for c := 0; c < w.Cols; c++ {
 			target := compCorrect(w.At(r, c) * complex(gamma, 0))
-			cfg, _ := idealSurface.SolveTarget(target, estPP)
+			cfg, _ := solver.Solve(target)
 			d.Schedule[r][c] = cfg
 			// The physically realized response uses the true phases.
-			h := opts.Surface.Response(cfg, truePP)
+			h := truth.Response(cfg)
 			d.Realized.Set(r, c, h)
 			sumSq += real(h)*real(h) + imag(h)*imag(h)
 		}
