@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz ckptfuzz faultgate recovergate obsgate benchgate tracegate stitchgate cascadegate fleetbench fleetgate chaossoak chaosgate check bench
+.PHONY: build test race vet fmt fuzz ckptfuzz faultgate recovergate obsgate benchgate tracegate stitchgate cascadegate fleetbench fleetgate chaossoak chaosgate check bench
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,16 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also type-checks the tree for arm64, which builds the portable Go
+# kernels of internal/cplx in place of its amd64 assembly (the amd64 run
+# checks the assembly's frames).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+
+# fmt fails when gofmt would rewrite any Go file.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -124,13 +132,13 @@ chaosgate:
 	$(GO) test -count=1 -run 'TestZeroRateBitIdentity|TestZeroRateLanePassthrough' ./internal/netchaos
 	$(GO) test -race -count=1 -run 'TestChaosGate' -short ./cmd/metaai-serve
 
-# check is the full gate: vet, plain tests, the race detector over the
+# check is the full gate: vet (amd64 and arm64), gofmt, plain tests, the race detector over the
 # concurrent evaluator, sweeps, and serve paths, the airproto and checkpoint
 # fuzz smokes, the abl-faults zero-rate identity gate, the crash-recovery
 # gate, the cascade K=1 compatibility gate, the fleet failover/replication
 # smoke, the bad-network chaos soak smoke, and the obs/bench/trace/stitch
 # determinism gates.
-check: vet test race fuzz ckptfuzz faultgate recovergate cascadegate fleetgate chaosgate obsgate benchgate tracegate stitchgate
+check: vet fmt test race fuzz ckptfuzz faultgate recovergate cascadegate fleetgate chaosgate obsgate benchgate tracegate stitchgate
 
 # bench runs the Go micro-benchmarks, then the serve-path observability
 # benchmark, which snapshots its metrics into BENCH_serve.json. Emit-only:

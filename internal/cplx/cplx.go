@@ -58,10 +58,13 @@ func (v Vec) Dot(w Vec) complex128 {
 }
 
 // DotInto accumulates the unconjugated dot product Σ a[i]·b[i] onto acc over
-// flat slices — the straight fused-multiply-add kernel of every hot row
-// sweep (LNN forward pass, cached-response accumulation). Iteration order
-// and grouping match Vec.Dot exactly, so results are bit-identical. It reads
-// min(len(a), len(b)) elements; callers enforce shape.
+// flat slices, in index order — the scalar kernel of the hot row sweeps
+// (cached-response accumulation, and the Go reference for MulVecTo). Nothing
+// is fused: each complex product is rounded before it is added, which is
+// what lets MulVecTo's AVX2 kernel and every bit-identity gate reproduce it
+// exactly. Iteration order and grouping match Vec.Dot, so results are
+// bit-identical. It reads min(len(a), len(b)) elements; callers enforce
+// shape.
 func DotInto(acc complex128, a, b []complex128) complex128 {
 	if len(a) > len(b) {
 		a = a[:len(b)]
@@ -157,24 +160,46 @@ func (m *Mat) Clone() *Mat {
 
 // MulVec computes m·x, the LNN forward pass Y = WX of Eqn 1.
 func (m *Mat) MulVec(x Vec) Vec {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("cplx: MulVec dimension mismatch cols=%d len(x)=%d", m.Cols, len(x)))
-	}
 	out := make(Vec, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = DotInto(0, m.Data[r*m.Cols:(r+1)*m.Cols], x)
-	}
+	m.MulVecTo(out, x)
 	return out
 }
 
 // MulVecTo computes m·x into dst (len dst == Rows), avoiding allocation on
-// hot paths such as per-batch training.
+// hot paths such as per-sample training. Each element is DotInto(0, row, x)
+// bit for bit; on CPUs with AVX2 two rows share one pass.
 func (m *Mat) MulVecTo(dst, x Vec) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic("cplx: MulVecTo dimension mismatch")
+		panic(fmt.Sprintf("cplx: MulVecTo dimension mismatch %dx%d · %d into %d", m.Rows, m.Cols, len(x), len(dst)))
 	}
-	for r := 0; r < m.Rows; r++ {
-		dst[r] = DotInto(0, m.Data[r*m.Cols:(r+1)*m.Cols], x)
+	mulVec(dst, m.Data, x)
+}
+
+// mulVecGo is MulVecTo's Go loop: the only kernel off AVX2 and the
+// reference the AVX2 kernel is tested against. w is row-major with
+// len(x) columns.
+func mulVecGo(dst, w, x []complex128) {
+	for r := range dst {
+		dst[r] = DotInto(0, w[r*len(x):(r+1)*len(x)], x)
+	}
+}
+
+// AddScaledConj adds a·conj(x[i]) to dst[i] for every i — the gradient row
+// update ∂L/∂W̄[r,·] += ∂L/∂z̄_r·conj(x) of LNN training. It panics if the
+// lengths differ. On CPUs with AVX2 it runs two elements per instruction,
+// bit for bit as the Go loop.
+func AddScaledConj(dst []complex128, a complex128, x []complex128) {
+	if len(x) != len(dst) {
+		panic(fmt.Sprintf("cplx: AddScaledConj length mismatch %d != %d", len(dst), len(x)))
+	}
+	addScaledConj(dst, a, x)
+}
+
+// addScaledConjGo is AddScaledConj's Go loop: the only kernel off AVX2, the
+// AVX2 kernel's odd-length tail, and its test reference.
+func addScaledConjGo(dst []complex128, a complex128, x []complex128) {
+	for i := range dst {
+		dst[i] += a * cmplx.Conj(x[i])
 	}
 }
 

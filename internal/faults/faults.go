@@ -126,7 +126,7 @@ type Injector struct {
 	orig   *ota.Deployment // the healthy deployment, kept as the heal target
 	cur    *ota.Deployment // serving deployment: stuck-faulted, healed after Heal
 	stuck  map[int]uint8
-	layer  int // cascade layer the stuck atoms live on (0 = primary)
+	layer  int     // cascade layer the stuck atoms live on (0 = primary)
 	sigRMS float64 // healthy RMS |H|, the burst-power reference
 	healed bool
 	// sabotage, when positive, makes PreviewHeal produce a deliberately

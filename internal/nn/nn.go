@@ -222,14 +222,7 @@ func (st *lnnStep) accumulate(w *autodiff.CParam, x, noise []complex128, label i
 	if label < 0 || label >= w.Rows {
 		panic(fmt.Sprintf("nn: label %d out of range %d", label, w.Rows))
 	}
-	for r := range st.z {
-		row := w.Val[r*w.Cols : (r+1)*w.Cols]
-		var sum complex128
-		for c, wv := range row {
-			sum += wv * x[c]
-		}
-		st.z[r] = sum
-	}
+	w.Mat().MulVecTo(st.z, x)
 	if noise != nil {
 		if len(noise) != len(st.z) {
 			panic(fmt.Sprintf("nn: %d output-noise values for %d classes", len(noise), len(st.z)))
@@ -254,10 +247,7 @@ func (st *lnnStep) accumulate(w *autodiff.CParam, x, noise []complex128, label i
 		if gy == 0 {
 			continue
 		}
-		grow := w.Grad[r*w.Cols : (r+1)*w.Cols]
-		for c := range grow {
-			grow[c] += gy * cmplx.Conj(x[c])
-		}
+		cplx.AddScaledConj(w.Grad[r*w.Cols:(r+1)*w.Cols], gy, x)
 	}
 }
 
