@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fuzz ckptfuzz faultgate recovergate obsgate benchgate tracegate stitchgate cascadegate fleetbench fleetgate chaossoak chaosgate check bench
+.PHONY: build test e2echeck race vet fmt fuzz ckptfuzz faultgate recovergate obsgate benchgate tracegate stitchgate cascadegate fleetbench fleetgate chaossoak chaosgate check bench
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# e2echeck vets and tests e2ebench/, the benchmark's own Go module. It
+# imports airproto, fleet and checkpoint, so `go test ./...` at the root
+# never builds it and an API change there would break the benchmark unseen.
+e2echeck:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # vet also type-checks the tree for arm64, which builds the portable Go
 # kernels of internal/cplx in place of its amd64 assembly (the amd64 run
@@ -132,13 +138,14 @@ chaosgate:
 	$(GO) test -count=1 -run 'TestZeroRateBitIdentity|TestZeroRateLanePassthrough' ./internal/netchaos
 	$(GO) test -race -count=1 -run 'TestChaosGate' -short ./cmd/metaai-serve
 
-# check is the full gate: vet (amd64 and arm64), gofmt, plain tests, the race detector over the
-# concurrent evaluator, sweeps, and serve paths, the airproto and checkpoint
-# fuzz smokes, the abl-faults zero-rate identity gate, the crash-recovery
-# gate, the cascade K=1 compatibility gate, the fleet failover/replication
-# smoke, the bad-network chaos soak smoke, and the obs/bench/trace/stitch
+# check is the full gate: vet (amd64 and arm64), gofmt, plain tests, the
+# benchmark module's vet and tests, the race detector over the concurrent
+# evaluator, sweeps, and serve paths, the airproto and checkpoint fuzz
+# smokes, the abl-faults zero-rate identity gate, the crash-recovery gate,
+# the cascade K=1 compatibility gate, the fleet failover/replication smoke,
+# the bad-network chaos soak smoke, and the obs/bench/trace/stitch
 # determinism gates.
-check: vet fmt test race fuzz ckptfuzz faultgate recovergate cascadegate fleetgate chaosgate obsgate benchgate tracegate stitchgate
+check: vet fmt test e2echeck race fuzz ckptfuzz faultgate recovergate cascadegate fleetgate chaosgate obsgate benchgate tracegate stitchgate
 
 # bench runs the Go micro-benchmarks, then the serve-path observability
 # benchmark, which snapshots its metrics into BENCH_serve.json. Emit-only:

@@ -69,7 +69,7 @@ func (r *chaosReplica) stop() {
 // converge quickly; everything else rides the chaos lanes).
 func (r *chaosReplica) join(front *net.UDPAddr) {
 	fleetSeq, fleetNonce := r.srv.fleetAgent.FleetVersion()
-	f := airproto.Join(1, fleetSeq, r.srv.epochSeq.Load(), fleetNonce)
+	f := airproto.Join(1, fleetSeq, fleetNonce)
 	if out, err := f.Marshal(); err == nil {
 		r.udp.WriteToUDP(out, front)
 	}

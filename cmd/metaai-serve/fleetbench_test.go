@@ -61,7 +61,7 @@ func (r *fleetReplica) stop() {
 // datagram's source. The reply is consumed by the replica's own fleet agent.
 func (r *fleetReplica) join(front *net.UDPAddr) {
 	fleetSeq, fleetNonce := r.srv.fleetAgent.FleetVersion()
-	f := airproto.Join(1, fleetSeq, r.srv.epochSeq.Load(), fleetNonce)
+	f := airproto.Join(1, fleetSeq, fleetNonce)
 	if out, err := f.Marshal(); err == nil {
 		r.conn.WriteToUDP(out, front)
 	}

@@ -184,7 +184,7 @@ func TestFleetStitchedTraceEndToEnd(t *testing.T) {
 		if resp.Code == airproto.StatusNoTrace {
 			t.Fatal("stitched trace was truncated")
 		}
-		return airproto.UnpackBytes(resp.Data, int(resp.Label))
+		return resp.Payload
 	}
 	doc := fetch()
 	if again := fetch(); !bytes.Equal(doc, again) {
@@ -412,7 +412,7 @@ func TestRouterControlPlaneSurvivesChaosAndSaturation(t *testing.T) {
 	if resp.Kind != airproto.KindTrace || resp.IsNack() {
 		t.Fatalf("trace fetch answered kind %d code %d", resp.Kind, resp.Code)
 	}
-	if body := airproto.UnpackBytes(resp.Data, int(resp.Label)); !bytes.Contains(body, []byte(`"fleet.request"`)) {
+	if body := resp.Payload; !bytes.Contains(body, []byte(`"fleet.request"`)) {
 		t.Fatalf("trace fetched under chaos lacks the fleet.request root:\n%s", body)
 	}
 }

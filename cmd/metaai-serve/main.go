@@ -409,8 +409,7 @@ func runServer(addr string, opt serverOptions, sidecar *http.Server) error {
 	if opt.joinAddr != "" {
 		// Announce membership from the SERVING socket so the router learns
 		// this replica's data-path address from the datagram's source. Writes
-		// interleave safely with the read loop; the router's join replies come
-		// back on conn and are consumed by the fleet agent.
+		// interleave safely with the read loop.
 		raddr, err := net.ResolveUDPAddr("udp", opt.joinAddr)
 		if err != nil {
 			return err
@@ -421,7 +420,7 @@ func runServer(addr string, opt serverOptions, sidecar *http.Server) error {
 			defer t.Stop()
 			for id := uint32(1); ; id++ {
 				fleetSeq, fleetNonce := srv.fleetAgent.FleetVersion()
-				f := airproto.Join(id, fleetSeq, srv.epochSeq.Load(), fleetNonce)
+				f := airproto.Join(id, fleetSeq, fleetNonce)
 				if out, err := f.Marshal(); err == nil {
 					if _, err := conn.WriteToUDP(out, raddr); err != nil && ctx.Err() == nil {
 						log.Printf("fleet join announce: %v", err)

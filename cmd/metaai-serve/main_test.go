@@ -217,8 +217,30 @@ func TestServeNacksMalformedAndWrongLength(t *testing.T) {
 	if int(resp.Label) != d.InputLen() {
 		t.Fatalf("NACK advertises U=%d, deployment has U=%d", resp.Label, d.InputLen())
 	}
-	if srv.nacked.Load() != 2 {
-		t.Fatalf("nacked counter = %d, want 2", srv.nacked.Load())
+
+	// A traced data frame cut inside its trace extension, and one whose
+	// trace ID is 0: both are malformed, so each earns a bad-frame NACK
+	// instead of vanishing into the fleet-control dispatch.
+	traced, _ := (&airproto.Frame{ID: 78, Data: testSymbols(d.InputLen(), 6), Trace: 1, ParentSpan: 2}).Marshal()
+	zeroTrace := append([]byte(nil), traced...)
+	for i := airproto.HeaderLen; i < airproto.HeaderLen+8; i++ {
+		zeroTrace[i] = 0
+	}
+	for _, bad := range [][]byte{traced[:airproto.HeaderLen+10], zeroTrace} {
+		if _, err := conn.Write(bad); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		resp, err := readMatching(conn, 0)
+		if err != nil {
+			t.Fatalf("malformed traced frame got no NACK: %v", err)
+		}
+		if !resp.IsNack() || resp.Code != airproto.StatusBadFrame {
+			t.Fatalf("malformed traced frame answered with %+v, want StatusBadFrame NACK", resp)
+		}
+	}
+	if srv.nacked.Load() != 4 {
+		t.Fatalf("nacked counter = %d, want 4", srv.nacked.Load())
 	}
 }
 

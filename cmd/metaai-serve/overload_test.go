@@ -49,6 +49,7 @@ func TestOverloadShedExpireAndControlPlane(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	shed0, brown0, exp0 := shedCount.Value(), brownoutShedCount.Value(), expiredCount.Value()
+	depth0 := queueDepth.Value()
 
 	d := testDeployment(t, 11)
 	gate := make(chan struct{})
@@ -90,7 +91,7 @@ func TestOverloadShedExpireAndControlPlane(t *testing.T) {
 		req.SetDeadline(20 * time.Millisecond)
 		sendFrame(t, conn, req)
 	}
-	waitFor(t, "queue to hold 2 requests", func() bool { return srv.inflight.Load() == 2 })
+	waitFor(t, "queue to hold 2 requests", func() bool { return queueDepth.Value() == depth0+2 })
 
 	// Queue full: the next data frames shed with StatusDegraded. These never
 	// consume an admission ordinal — the brownout counter must stay 0.
@@ -144,7 +145,7 @@ func TestOverloadShedExpireAndControlPlane(t *testing.T) {
 	if got := srv.expired.Load(); got != 2 {
 		t.Fatalf("expired %d after 2 dead-budget dequeues", got)
 	}
-	waitFor(t, "queue depth gauge to drain", func() bool { return srv.inflight.Load() == 0 })
+	waitFor(t, "queue depth gauge to drain", func() bool { return queueDepth.Value() == depth0 })
 
 	// Brownout at the 95% ceiling: data frames mostly shed with an explicit
 	// RetryAfter hint, but NOTHING on the control plane ever does — stats

@@ -125,8 +125,8 @@ func runProbe(addr string, opt probeOptions) error {
 
 // fetchTrace asks the server for a retained trace by 64-bit hex ID (an
 // airproto KindTrace exchange) and prints the Chrome trace-event JSON the
-// server packed into the reply. A StatusNoTrace NACK means the ring never
-// retained — or has since evicted — that ID.
+// reply carries. A StatusNoTrace NACK means the ring never retained — or
+// has since evicted — that ID.
 func fetchTrace(conn probeConn, idHex string, timeout, budget time.Duration, src *rng.Source) error {
 	id, err := trace.ParseID(idHex)
 	if err != nil {
@@ -139,13 +139,12 @@ func fetchTrace(conn probeConn, idHex string, timeout, budget time.Duration, src
 	if resp.Kind != airproto.KindTrace {
 		return fmt.Errorf("malformed trace reply (kind %d)", resp.Kind)
 	}
-	body := airproto.UnpackBytes(resp.Data, int(resp.Label))
 	if resp.Code == airproto.StatusNoTrace {
 		// The full export did not fit one datagram: the server truncated at
-		// MaxTraceBytes. Say so on stderr; the (cut) JSON still goes out.
-		log.Printf("probe: trace %s truncated to %d bytes by the wire format", idHex, len(body))
+		// airproto.MaxPayload. Say so on stderr; the (cut) JSON still goes out.
+		log.Printf("probe: trace %s truncated to %d bytes by the wire format", idHex, len(resp.Payload))
 	}
-	fmt.Println(string(body))
+	fmt.Println(string(resp.Payload))
 	return nil
 }
 

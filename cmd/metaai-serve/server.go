@@ -137,10 +137,9 @@ type airServer struct {
 	epochSeq      atomic.Uint64 // journal sequence of the current epoch (0 when unjournaled)
 	reqSeq        atomic.Uint64 // per-server request ordinal, the trace-ID tiebreaker
 	healSeq       atomic.Uint64 // per-server heal-episode ordinal for heal traces
-	inflight      atomic.Int64  // requests queued for the worker fleet (the HBQueueDepth gauge)
 
 	// fleetAgent answers the fleet router's heartbeats with this server's
-	// health vector and installs replicated epochs pushed over the wire. It
+	// fleet version and installs replicated epochs pushed over the wire. It
 	// is always constructed — a server that never joins a fleet simply never
 	// receives a fleet-control frame.
 	fleetAgent *fleet.Agent
@@ -192,7 +191,7 @@ func newAirServer(cfg serverConfig) *airServer {
 		cfg.tracer = trace.Default()
 	}
 	s := &airServer{cfg: cfg}
-	s.fleetAgent = fleet.NewAgent(s.healthVector, s.applyFleetEpoch)
+	s.fleetAgent = fleet.NewAgent(s.applyFleetEpoch)
 	s.cur.Store(&epoch{d: cfg.deployment, sessions: s.newSessions(cfg.deployment)})
 	// The initial deploy's checkpoint-write correlates to the build trace,
 	// which is still the most recently started trace at construction time.
@@ -403,25 +402,6 @@ func (s *airServer) statsFrame(id uint32) *airproto.Frame {
 	return &airproto.Frame{Kind: airproto.KindStats, Code: airproto.StatsVersionReplica, ID: id, Data: data}
 }
 
-// healthVector supplies the gauges a fleet heartbeat reply carries: the
-// replicated-epoch (sequence, coordinator nonce) pair — the fleet's
-// convergence variable — the local journal epoch, queue pressure, and the
-// serving counters. Every read is an atomic load, so the read loop answers
-// heartbeats without touching a lock.
-func (s *airServer) healthVector() []float64 {
-	hv := make([]float64, airproto.HBVectorLen)
-	fleetSeq, fleetNonce := s.fleetAgent.FleetVersion()
-	hv[airproto.HBFleetSeq] = float64(fleetSeq)
-	hv[airproto.HBFleetNonce] = float64(fleetNonce)
-	hv[airproto.HBEpochSeq] = float64(s.epochSeq.Load())
-	hv[airproto.HBQueueDepth] = float64(s.inflight.Load())
-	hv[airproto.HBServed] = float64(s.served.Load())
-	hv[airproto.HBShed] = float64(s.shed.Load())
-	hv[airproto.HBNacked] = float64(s.nacked.Load())
-	hv[airproto.HBHeals] = float64(s.heals.Load())
-	return hv
-}
-
 // applyFleetEpoch installs one epoch replicated by the fleet coordinator:
 // decode the sealed checkpoint, refuse a dataset mismatch, rebuild the
 // deployment, and — on a canary push — measure prediction agreement against
@@ -489,16 +469,16 @@ type request struct {
 // trace ID derives from the client's request ID plus the server's arrival
 // ordinal — stable identifiers, so a fixed-seed run traces identically —
 // and the span carries the airproto request ID and the serving epoch. A
-// frame that arrived with router trace context (rid != 0) instead joins
-// the ROUTER'S trace: the replica's serve.request span parents under the
-// router's fleet.hop span, so one fetch yields the whole cross-hop story.
-// The arrival ordinal bumps either way — local trace IDs must not depend
-// on whether the previous request came through a router.
-func (s *airServer) startRequestTrace(f *airproto.Frame, rid, parent uint64) *trace.Span {
+// frame that arrived with router trace context (f.Trace != 0) instead
+// joins the ROUTER'S trace: the replica's serve.request span parents under
+// the router's fleet.hop span, so one fetch yields the whole cross-hop
+// story. The arrival ordinal bumps either way — local trace IDs must not
+// depend on whether the previous request came through a router.
+func (s *airServer) startRequestTrace(f *airproto.Frame) *trace.Span {
 	seq := s.reqSeq.Add(1)
 	var sp *trace.Span
-	if rid != 0 {
-		sp = s.cfg.tracer.StartRemote("serve.request", trace.ID(rid), trace.ID(parent))
+	if f.Trace != 0 {
+		sp = s.cfg.tracer.StartRemote("serve.request", trace.ID(f.Trace), trace.ID(f.ParentSpan))
 	} else {
 		sp = s.cfg.tracer.Start("serve.request", trace.Derive(0x5e12e, uint64(f.ID), seq))
 	}
@@ -508,8 +488,8 @@ func (s *airServer) startRequestTrace(f *airproto.Frame, rid, parent uint64) *tr
 }
 
 // traceFrame answers a KindTrace request: the retained trace's Chrome
-// JSON export packed into the vector payload (see airproto.PackBytes), or
-// a StatusNoTrace NACK when tracing is off or the ID is not retained.
+// JSON export (see airproto.TraceReply), or a StatusNoTrace NACK when
+// tracing is off or the ID is not retained.
 func (s *airServer) traceFrame(f *airproto.Frame) *airproto.Frame {
 	tr, flags := s.cfg.tracer.Get(trace.ID(f.TraceID()))
 	if tr == nil {
@@ -517,15 +497,9 @@ func (s *airServer) traceFrame(f *airproto.Frame) *airproto.Frame {
 	}
 	// The request's Code carries export flags: the normalize bit asks for
 	// deterministic timestamps, the form the stitch gate diffs byte-for-byte.
-	body := trace.MarshalJSON(tr, flags, trace.ExportOptions{
+	return airproto.TraceReply(f.ID, trace.MarshalJSON(tr, flags, trace.ExportOptions{
 		Normalize: f.Code&airproto.TraceFlagNormalize != 0,
-	})
-	data, n := airproto.PackBytes(body)
-	var code uint8
-	if n < len(body) {
-		code = airproto.StatusNoTrace // truncated: only the first n bytes fit
-	}
-	return &airproto.Frame{Kind: airproto.KindTrace, Code: code, ID: f.ID, Label: int32(n), Data: data}
+	}))
 }
 
 // serve answers frames on conn until the connection is closed (the caller
@@ -597,21 +571,17 @@ func (s *airServer) serve(conn netchaos.PacketConn) error {
 		}()
 	}
 
-	// Read buffers are pooled per request: airproto.Unmarshal copies the
-	// symbol payload out, so a buffer returns to the pool as soon as the
-	// frame is parsed.
-	bufs := sync.Pool{New: func() interface{} { return make([]byte, 65535) }}
+	// One read buffer for the socket's lifetime: this goroutine is the only
+	// reader, and airproto.Unmarshal copies everything a frame keeps.
+	buf := make([]byte, 65535)
 	var readErr error
 	for {
-		buf := bufs.Get().([]byte)
 		n, from, err := conn.ReadFromUDP(buf)
 		if err != nil {
-			bufs.Put(buf) //nolint:staticcheck // fixed-size buffer
 			readErr = err
 			break
 		}
 		frame, err := airproto.Unmarshal(buf[:n])
-		bufs.Put(buf) //nolint:staticcheck // fixed-size buffer
 		if err != nil {
 			// The sender gets an explicit rejection instead of silence; the
 			// frame did not parse, so no request ID is available to echo.
@@ -622,18 +592,13 @@ func (s *airServer) serve(conn netchaos.PacketConn) error {
 		if frame.IsNack() {
 			continue // never answer a status frame with a status frame
 		}
-		// A router-forwarded data frame carries its distributed-trace context
-		// as trailing samples under KindDataTraced — which sorts ABOVE
-		// KindHeartbeat, so the strip (restoring KindData) must happen before
-		// the fleet-control dispatch or the frame would be swallowed there.
-		rid, parentSpan, _ := airproto.StripTraceContext(frame)
 		if frame.Kind >= airproto.KindHeartbeat {
-			// Fleet-control frames (router heartbeats, chunked epoch pushes,
-			// join replies) are answered inline: a heartbeat reply is a
-			// handful of atomic loads and a chunk ack is a copy. The one
-			// expensive case — the final chunk's apply — happens once per
-			// fleet publication, and the kernel buffers data frames for the
-			// few milliseconds it takes.
+			// Fleet-control frames (router heartbeats, chunked epoch pushes)
+			// are answered inline: a heartbeat reply is an atomic load plus a
+			// throttled snapshot, and a chunk ack is a copy. The one expensive
+			// case — the final chunk's apply — happens once per fleet
+			// publication, and the kernel buffers data frames for the few
+			// milliseconds it takes.
 			if resp, ok := s.fleetAgent.HandleFrame(frame); ok {
 				if out, err := resp.Marshal(); err == nil {
 					if _, err := conn.WriteToUDP(out, from); err != nil {
@@ -675,7 +640,7 @@ func (s *airServer) serve(conn netchaos.PacketConn) error {
 			s.nack(conn, from, airproto.RetryAfterNack(frame.ID, ac.RetryAfter()))
 			continue
 		}
-		sp := s.startRequestTrace(frame, rid, parentSpan)
+		sp := s.startRequestTrace(frame)
 		u := s.cur.Load().d.InputLen()
 		if len(frame.Data) != u {
 			s.cfg.logf("frame %d from %s: %d symbols, deployed for U=%d", frame.ID, from, len(frame.Data), u)
@@ -691,7 +656,6 @@ func (s *airServer) serve(conn netchaos.PacketConn) error {
 		select {
 		case reqs <- request{frame: frame, from: from, expires: expires, t: obs.StartTimer(), span: sp}:
 			queueDepth.Add(1)
-			s.inflight.Add(1)
 		default:
 			// Queue full: shed load explicitly. The client distinguishes
 			// this retryable NACK from a malformed-request rejection.
@@ -747,7 +711,6 @@ func (s *airServer) worker(conn udpWriter, w int, reqs <-chan request) {
 	defer scratchPool.Put(sc)
 	for r := range reqs {
 		queueDepth.Add(-1)
-		s.inflight.Add(-1)
 		sc.batch = append(sc.batch[:0], r)
 	drain:
 		for len(sc.batch) < s.cfg.batch {
@@ -757,7 +720,6 @@ func (s *airServer) worker(conn udpWriter, w int, reqs <-chan request) {
 					break drain
 				}
 				queueDepth.Add(-1)
-				s.inflight.Add(-1)
 				sc.batch = append(sc.batch, r2)
 			default:
 				break drain

@@ -1,8 +1,9 @@
 // Package airproto is the little UDP wire protocol the deployment demos
-// speak: fixed little-endian frames carrying complex vectors — modulated
-// symbols on the uplink (sensor → air), per-class accumulators on the
-// downlink (air → edge). One datagram per transmission keeps the protocol
-// as dumb as the commodity IoT transmitters the paper targets.
+// speak: one little-endian frame per datagram. Data frames carry complex
+// vectors — modulated symbols on the uplink (sensor → air), per-class
+// accumulators on the downlink (air → edge). One datagram per transmission
+// keeps the protocol as dumb as the commodity IoT transmitters the paper
+// targets.
 //
 // Frame layout (little endian):
 //
@@ -14,8 +15,18 @@
 //	uint32  id       sample/transmission identifier
 //	int32   label    data: ground-truth label for accounting (-1 if unknown)
 //	                 nack: detail value (e.g. the deployed U for StatusWrongLen)
-//	uint16  n        vector length
-//	n × (float32 re, float32 im)
+//	uint16  n        body length, in units the kind decides
+//	body
+//
+// The kind decides the body. KindData and KindStats carry n complex
+// samples, each a (float32 re, float32 im) pair, in Frame.Data. Every
+// other kind carries n raw bytes in Frame.Payload, laid out by the kind's
+// builder and read back by its accessors in this package (fleet.go,
+// trace.go); no other package knows a byte layout. A data frame with
+// distributed-trace context (Frame.Trace, Frame.ParentSpan) goes out as
+// wire kind KindDataTraced, with a 16-byte extension — trace ID, then
+// parent span ID, uint64 each — between the header and the samples.
+// Unmarshal hands it back as KindData with both fields set.
 //
 // NACK frames give clients an explicit failure signal instead of silence:
 // a malformed or mis-sized request is answered with KindNack and a status
@@ -46,14 +57,13 @@ const (
 	// KindTrace is a retained-trace fetch: the client sends an empty
 	// KindTrace frame whose ID/Label fields carry the low/high halves of a
 	// 64-bit trace ID (see TraceRequest), and the server answers with one
-	// whose Data carries the trace's Chrome-format JSON export packed two
-	// bytes per complex sample (see PackBytes). A server with tracing
-	// disabled or no such retained trace answers KindNack/StatusNoTrace. It
-	// lets `metaai-serve -probe -trace <id>` pull a trace over the air when
-	// the HTTP sidecar is unreachable.
+	// whose Payload carries the trace's Chrome-format JSON export (see
+	// TraceReply). A server with tracing disabled or no such retained trace
+	// answers KindNack/StatusNoTrace. It lets `metaai-serve -probe -trace
+	// <id>` pull a trace over the air when the HTTP sidecar is unreachable.
 	KindTrace uint8 = 3
 	// KindHeartbeat is the fleet router's liveness probe: an empty request,
-	// answered with the HBVector health gauges (see fleet.go).
+	// answered with the replica's fleet version (see fleet.go).
 	KindHeartbeat uint8 = 4
 	// KindJoin is a replica's membership announcement to the fleet router,
 	// sent from its serving socket so the source address doubles as the
@@ -65,18 +75,18 @@ const (
 	// KindEpochAck acknowledges a push chunk; the completing chunk's ack
 	// carries the apply verdict and canary agreement (see fleet.go).
 	KindEpochAck uint8 = 7
-	// KindDataTraced is a KindData frame carrying appended distributed-trace
-	// context (trace ID + parent span ID, see AttachTraceContext) — what a
+	// KindDataTraced is the wire kind of a KindData frame carrying
+	// distributed-trace context (Frame.Trace, Frame.ParentSpan) — what a
 	// fleet router forwards when it is tracing the request, so the replica's
-	// serve.request span parents under the router's hop span. Replicas strip
-	// the context and process the rest as plain KindData; the reply is an
-	// ordinary KindData frame. Pre-fleet replicas reject the kind at
-	// Unmarshal, so a tracing router must only be pointed at replicas that
-	// speak it.
+	// serve.request span parents under the router's hop span. It exists
+	// only on the wire: Marshal emits it for a traced KindData frame and
+	// Unmarshal returns KindData. The reply is an ordinary KindData frame.
+	// Pre-fleet replicas reject the kind at Unmarshal, so a tracing router
+	// must only be pointed at replicas that speak it.
 	KindDataTraced uint8 = 8
 )
 
-// maxKind is the highest frame kind this build speaks; anything above it is
+// maxKind is the highest wire kind this build speaks; anything above it is
 // rejected at both Marshal and Unmarshal so unknown kinds never cross the
 // wire silently.
 const maxKind = KindDataTraced
@@ -126,9 +136,21 @@ const (
 // HeaderLen is the byte length of the fixed frame header.
 const HeaderLen = 12
 
-// MaxVector is the largest vector a single frame can carry (bounded by the
-// uint16 length field and a 64 KiB datagram).
-const MaxVector = (65535 - HeaderLen) / 8
+// MaxDatagram is the largest frame Marshal produces: the most payload one
+// IPv4 UDP datagram carries (65,535 bytes less the 20-byte IP and 8-byte
+// UDP headers). The kernel refuses to send anything larger.
+const MaxDatagram = 65507
+
+// traceExtLen is the trace-context extension a KindDataTraced frame
+// carries between its header and its samples.
+const traceExtLen = 16
+
+// MaxVector is the largest sample vector one frame carries. It leaves room
+// for the trace extension, so a router can trace any data frame it accepts.
+const MaxVector = (MaxDatagram - HeaderLen - traceExtLen) / 8
+
+// MaxPayload is the largest byte payload one frame carries.
+const MaxPayload = MaxDatagram - HeaderLen
 
 // Frame is one protocol message.
 type Frame struct {
@@ -136,8 +158,21 @@ type Frame struct {
 	Code  uint8
 	ID    uint32
 	Label int32
-	Data  []complex128
+	// Data is the sample body of KindData and KindStats frames.
+	Data []complex128
+	// Payload is the byte body of every other kind.
+	Payload []byte
+	// Trace and ParentSpan are the distributed-trace context of a KindData
+	// frame a fleet router forwards: the router's trace ID and the hop span
+	// the replica's serve.request span parents under. Trace 0 means
+	// untraced.
+	Trace      uint64
+	ParentSpan uint64
 }
+
+// carriesSamples reports whether frames of kind carry complex samples in
+// Data rather than raw bytes in Payload.
+func carriesSamples(kind uint8) bool { return kind == KindData || kind == KindStats }
 
 // Nack builds a status frame answering request id with the given code;
 // detail rides the Label field (StatusWrongLen puts the deployed U there).
@@ -150,7 +185,7 @@ func (f *Frame) IsNack() bool { return f.Kind == KindNack }
 
 // Marshal serializes the frame.
 func (f *Frame) Marshal() ([]byte, error) {
-	return f.MarshalAppend(make([]byte, 0, HeaderLen+8*len(f.Data)))
+	return f.MarshalAppend(make([]byte, 0, HeaderLen+traceExtLen+8*len(f.Data)+len(f.Payload)))
 }
 
 // MarshalAppend serializes the frame onto buf and returns the extended
@@ -158,24 +193,46 @@ func (f *Frame) Marshal() ([]byte, error) {
 // that recycle a scratch buffer (pass buf[:0] to overwrite it). The wire
 // bytes are identical to Marshal's.
 func (f *Frame) MarshalAppend(buf []byte) ([]byte, error) {
-	if len(f.Data) > MaxVector {
-		return nil, fmt.Errorf("airproto: vector length %d exceeds %d", len(f.Data), MaxVector)
+	if f.Kind >= maxKind {
+		return nil, fmt.Errorf("airproto: cannot marshal frame kind %d", f.Kind)
 	}
-	if f.Kind > maxKind {
-		return nil, fmt.Errorf("airproto: unknown frame kind %d", f.Kind)
+	n := len(f.Payload)
+	if carriesSamples(f.Kind) {
+		if n > 0 {
+			return nil, fmt.Errorf("airproto: kind %d carries samples, not a payload", f.Kind)
+		}
+		if n = len(f.Data); n > MaxVector {
+			return nil, fmt.Errorf("airproto: vector length %d exceeds %d", n, MaxVector)
+		}
+	} else if len(f.Data) > 0 {
+		return nil, fmt.Errorf("airproto: kind %d carries a payload, not samples", f.Kind)
+	} else if n > MaxPayload {
+		return nil, fmt.Errorf("airproto: payload of %d bytes exceeds %d", n, MaxPayload)
 	}
-	buf = append(buf, f.Kind, f.Code)
+	kind := f.Kind
+	if f.Trace != 0 || f.ParentSpan != 0 {
+		if f.Kind != KindData || f.Trace == 0 {
+			return nil, fmt.Errorf("airproto: trace context needs a data frame and a nonzero trace ID")
+		}
+		kind = KindDataTraced
+	}
+	buf = append(buf, kind, f.Code)
 	buf = binary.LittleEndian.AppendUint32(buf, f.ID)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Label))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(f.Data)))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(n))
+	if kind == KindDataTraced {
+		buf = binary.LittleEndian.AppendUint64(buf, f.Trace)
+		buf = binary.LittleEndian.AppendUint64(buf, f.ParentSpan)
+	}
 	for _, v := range f.Data {
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(real(v))))
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(imag(v))))
 	}
-	return buf, nil
+	return append(buf, f.Payload...), nil
 }
 
-// Unmarshal parses one datagram into a frame.
+// Unmarshal parses one datagram into a frame. The frame copies what it
+// keeps, so the caller may reuse b at once.
 func Unmarshal(b []byte) (*Frame, error) {
 	if len(b) < HeaderLen {
 		return nil, fmt.Errorf("airproto: short frame (%d bytes)", len(b))
@@ -190,17 +247,42 @@ func Unmarshal(b []byte) (*Frame, error) {
 		return nil, fmt.Errorf("airproto: unknown frame kind %d", f.Kind)
 	}
 	n := int(binary.LittleEndian.Uint16(b[10:12]))
+	body := b[HeaderLen:]
+	if f.Kind == KindDataTraced {
+		if len(body) < traceExtLen {
+			return nil, fmt.Errorf("airproto: traced frame cut inside its trace extension (%d bytes)", len(b))
+		}
+		f.Kind = KindData
+		f.Trace = binary.LittleEndian.Uint64(body[0:8])
+		f.ParentSpan = binary.LittleEndian.Uint64(body[8:16])
+		if f.Trace == 0 {
+			return nil, fmt.Errorf("airproto: traced frame with trace ID 0")
+		}
+		body = body[traceExtLen:]
+	}
+	if !carriesSamples(f.Kind) {
+		if n > MaxPayload {
+			return nil, fmt.Errorf("airproto: payload length %d exceeds %d", n, MaxPayload)
+		}
+		if len(body) < n {
+			return nil, fmt.Errorf("airproto: truncated frame: %d bytes for a %d-byte payload", len(b), n)
+		}
+		if n > 0 {
+			f.Payload = append([]byte(nil), body[:n]...)
+		}
+		return f, nil
+	}
 	if n > MaxVector {
 		return nil, fmt.Errorf("airproto: vector length %d exceeds %d", n, MaxVector)
 	}
-	if len(b) < HeaderLen+8*n {
+	if len(body) < 8*n {
 		return nil, fmt.Errorf("airproto: truncated frame: %d bytes for n=%d", len(b), n)
 	}
 	f.Data = make([]complex128, n)
-	off := HeaderLen
+	off := 0
 	for i := range f.Data {
-		re := math.Float32frombits(binary.LittleEndian.Uint32(b[off : off+4]))
-		im := math.Float32frombits(binary.LittleEndian.Uint32(b[off+4 : off+8]))
+		re := math.Float32frombits(binary.LittleEndian.Uint32(body[off : off+4]))
+		im := math.Float32frombits(binary.LittleEndian.Uint32(body[off+4 : off+8]))
 		f.Data[i] = complex(float64(re), float64(im))
 		off += 8
 	}

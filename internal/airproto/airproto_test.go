@@ -1,6 +1,8 @@
 package airproto
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -36,11 +38,12 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestRoundTripProperty(t *testing.T) {
-	// Every kind this build speaks — data, NACK, stats, trace, and the four
+	// Every kind a Frame can hold — data, NACK, stats, trace, and the four
 	// fleet kinds — must round-trip its full header (kind, code, ID, label)
-	// and payload bit-exactly through the wire format.
-	err := quick.Check(func(kindSel, code uint8, id uint32, label int32, raw []float64) bool {
-		kind := kindSel % (maxKind + 1)
+	// and body bit-exactly through the wire format: samples on KindData and
+	// KindStats, bytes on the rest, and trace context on traced data.
+	err := quick.Check(func(kindSel, code uint8, id uint32, label int32, raw []float64, payload []byte, traceID, parent uint64) bool {
+		kind := kindSel % KindDataTraced
 		if len(raw) > 200 {
 			raw = raw[:200]
 		}
@@ -52,18 +55,27 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 			data[i] = complex(float64(float32(re)), float64(float32(im)))
 		}
-		f := &Frame{Kind: kind, Code: code, ID: id, Label: label, Data: data}
+		f := &Frame{Kind: kind, Code: code, ID: id, Label: label}
+		if carriesSamples(kind) {
+			f.Data = data
+		} else {
+			f.Payload = payload
+		}
+		if kind == KindData && traceID != 0 {
+			f.Trace, f.ParentSpan = traceID, parent
+		}
 		b, err := f.Marshal()
 		if err != nil {
 			return false
 		}
 		got, err := Unmarshal(b)
 		if err != nil || got.Kind != kind || got.Code != code || got.ID != id ||
-			got.Label != label || len(got.Data) != len(data) {
+			got.Label != label || len(got.Data) != len(f.Data) || !bytes.Equal(got.Payload, f.Payload) ||
+			got.Trace != f.Trace || got.ParentSpan != f.ParentSpan {
 			return false
 		}
-		for i := range data {
-			if got.Data[i] != data[i] {
+		for i := range f.Data {
+			if got.Data[i] != f.Data[i] {
 				return false
 			}
 		}
@@ -71,6 +83,55 @@ func TestRoundTripProperty(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGoldenWireBytes pins the marshalled bytes of the frames every client
+// speaks. The expected hex was produced by the float32-for-every-kind
+// codec that predates byte payloads: data, NACK and stats frames must
+// cross the wire exactly as they always have.
+func TestGoldenWireBytes(t *testing.T) {
+	cases := []struct {
+		name string
+		f    *Frame
+		want string
+	}{
+		{"data request", &Frame{ID: 0x01020304, Label: 7, Code: EncodeDeadline(250 * time.Millisecond), Data: []complex128{1 + 2i, -0.5 - 0.25i, 3.14159}},
+			"0019040302010700000003000000803f00000040000000bf000080bed00f494000000000"},
+		{"data reply", &Frame{ID: 0x01020304, Label: 7, Data: []complex128{0.125 + 1e-3i, -42, 1e6i}},
+			"0000040302010700000003000000003e6f12833a000028c2000000000000000000247449"},
+		{"nack", Nack(77, StatusWrongLen, 784),
+			"01024d000000100300000000"},
+		{"stats reply", &Frame{Kind: KindStats, Code: StatsVersionReplica, ID: 9, Data: []complex128{101, 2, 3, 1, 1, 9, 4, 5}},
+			"0201090000000000000008000000ca4200000000000000400000000000004040000000000000803f000000000000803f00000000000010410000000000008040000000000000a04000000000"},
+	}
+	for _, tc := range cases {
+		b, err := tc.f.Marshal()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := hex.EncodeToString(b); got != tc.want {
+			t.Errorf("%s marshals to\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestUnmarshalCopiesPayload: a read loop reuses one buffer for every
+// datagram, so a parsed frame must not alias it.
+func TestUnmarshalCopiesPayload(t *testing.T) {
+	b, err := TraceReply(3, []byte(`{"traceEvents":[]}`)).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range b {
+		b[i] = 0xee
+	}
+	if string(f.Payload) != `{"traceEvents":[]}` {
+		t.Fatalf("payload changed with the input buffer: %q", f.Payload)
 	}
 }
 
@@ -93,6 +154,34 @@ func TestMarshalRejectsOversize(t *testing.T) {
 	f := &Frame{Data: make([]complex128, MaxVector+1)}
 	if _, err := f.Marshal(); err == nil {
 		t.Fatal("expected error for oversized vector")
+	}
+	if _, err := (&Frame{Kind: KindTrace, Payload: make([]byte, MaxPayload+1)}).Marshal(); err == nil {
+		t.Fatal("expected error for oversized payload")
+	}
+	// The largest frames of each body still fit one IPv4 UDP datagram.
+	for _, f := range []*Frame{
+		{Data: make([]complex128, MaxVector), Trace: 1},
+		{Kind: KindTrace, Payload: make([]byte, MaxPayload)},
+	} {
+		b, err := f.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) > MaxDatagram {
+			t.Fatalf("kind %d frame marshals to %d bytes, past the %d-byte datagram cap", f.Kind, len(b), MaxDatagram)
+		}
+	}
+}
+
+func TestMarshalRejectsMismatchedBody(t *testing.T) {
+	for _, f := range []*Frame{
+		{Kind: KindData, Payload: []byte{1}},          // samples kind with bytes
+		{Kind: KindEpochAck, Data: []complex128{1}},   // bytes kind with samples
+		{Kind: KindDataTraced, Data: []complex128{1}}, // wire-only kind
+	} {
+		if _, err := f.Marshal(); err == nil {
+			t.Errorf("marshalled %+v", f)
+		}
 	}
 }
 
@@ -132,10 +221,12 @@ func TestRejectsUnknownKind(t *testing.T) {
 func TestUnmarshalRejectsOversizeClaim(t *testing.T) {
 	// A header claiming more elements than any datagram can carry must be
 	// rejected on the length field itself, not by allocating first.
-	b, _ := (&Frame{ID: 1}).Marshal()
-	b[10], b[11] = 0xff, 0xff // n = 65535 > MaxVector
-	if _, err := Unmarshal(b); err == nil {
-		t.Error("expected error for oversized length claim")
+	for _, kind := range []uint8{KindData, KindTrace} {
+		b, _ := (&Frame{Kind: kind, ID: 1}).Marshal()
+		b[10], b[11] = 0xff, 0xff // n = 65535 > MaxVector and > MaxPayload
+		if _, err := Unmarshal(b); err == nil {
+			t.Errorf("kind %d: expected error for oversized length claim", kind)
+		}
 	}
 }
 
@@ -155,18 +246,23 @@ func fuzzCorpus() [][]byte {
 	// Fleet control frames: liveness, membership, and both halves of the
 	// chunked epoch-replication exchange.
 	hb, _ := Heartbeat(21).Marshal()
-	hbReply, _ := HeartbeatReply(21, []float64{3, 7, 1, 500, 2, 0, 1, 0x1234}).Marshal()
-	join, _ := Join(22, 5, 9, 0xabcdef).Marshal()
+	hbReply, _ := HeartbeatReply(21, 3, 0x1234, nil).Marshal()
+	join, _ := Join(22, 5, 0xabcdef).Marshal()
 	chunkFrame, _ := EpochChunk(23, PushCanary, 1, 3, []byte{0xde, 0xad, 0xbe}, 500, 1000, 0xbeef01)
 	chunk, _ := chunkFrame.Marshal()
 	chunkCut := chunk[:len(chunk)-5] // chunk cut mid-payload
-	ackChunk, _ := EpochAck(23, 1, AckChunk, 0, 0, 0xbeef01).Marshal()
-	ackDone, _ := EpochAck(23, 2, AckApplied, 0.97, 6, 0xbeef01).Marshal()
+	ackChunk, _ := EpochAck(23, 1, AckChunk, 0, 0xbeef01).Marshal()
+	ackDone, _ := EpochAck(23, 2, AckApplied, 0.97, 0xbeef01).Marshal()
 	// Overload-control frames: a deadline-stamped data request, the expired
 	// verdict, and a brownout retry-after hint.
 	deadlined, _ := (&Frame{ID: 31, Label: -1, Code: EncodeDeadline(250 * time.Millisecond), Data: []complex128{1i, 2}}).Marshal()
 	expired, _ := ExpiredNack(31, 40*time.Millisecond).Marshal()
 	retryAfter, _ := RetryAfterNack(32, 75*time.Millisecond).Marshal()
+	// Byte payloads and the trace extension: a heartbeat reply carrying a
+	// snapshot blob, a trace export, a traced data frame, and each cut short.
+	hbBlob, _ := HeartbeatReply(24, 1<<30, 0xfeedface, []byte("snapshot-blob")).Marshal()
+	trcReply, _ := TraceReply(25, []byte(`{"traceEvents":[{"name":"req","ph":"X"}]}`)).Marshal()
+	traced, _ := (&Frame{ID: 26, Label: 4, Data: []complex128{1 + 1i, -2}, Trace: 0xdeadbeefcafef00d, ParentSpan: 0x0123456789abcdef}).Marshal()
 	return [][]byte{
 		{},                 // empty datagram
 		{0x00},             // 1-byte runt
@@ -190,6 +286,11 @@ func fuzzCorpus() [][]byte {
 		deadlined,
 		expired,
 		retryAfter,
+		hbBlob,
+		trcReply,
+		traced,
+		hbBlob[:len(hbBlob)-1],           // byte payload cut short
+		traced[:HeaderLen+traceExtLen-3], // trace extension cut short
 	}
 }
 
@@ -208,6 +309,9 @@ func FuzzUnmarshal(f *testing.F) {
 		if len(fr.Data) > MaxVector {
 			t.Fatalf("accepted frame with %d elements (max %d)", len(fr.Data), MaxVector)
 		}
+		if len(fr.Data) > 0 && len(fr.Payload) > 0 {
+			t.Fatalf("accepted frame carries both samples and a payload: %+v", fr)
+		}
 		// Accepted frames must re-marshal to a parseable frame that carries
 		// the same header and payload.
 		b2, err := fr.Marshal()
@@ -218,8 +322,12 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshaled frame failed to parse: %v", err)
 		}
-		if fr2.Kind != fr.Kind || fr2.Code != fr.Code || fr2.ID != fr.ID || fr2.Label != fr.Label || len(fr2.Data) != len(fr.Data) {
+		if fr2.Kind != fr.Kind || fr2.Code != fr.Code || fr2.ID != fr.ID || fr2.Label != fr.Label || len(fr2.Data) != len(fr.Data) ||
+			fr2.Trace != fr.Trace || fr2.ParentSpan != fr.ParentSpan {
 			t.Fatalf("round trip changed header: %+v vs %+v", fr2, fr)
+		}
+		if !bytes.Equal(fr2.Payload, fr.Payload) {
+			t.Fatalf("round trip changed the payload: %x vs %x", fr2.Payload, fr.Payload)
 		}
 		for i := range fr.Data {
 			b1 := [2]uint32{math.Float32bits(float32(real(fr.Data[i]))), math.Float32bits(float32(imag(fr.Data[i])))}

@@ -4,36 +4,35 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // Fleet control frames. The router/coordinator tier (internal/fleet) speaks
 // three more exchanges over the same dumb-datagram protocol the data path
 // uses, so a replica needs exactly one socket for serving, liveness, and
-// replication:
+// replication. Every fleet frame carries raw bytes in Payload:
 //
-//   - KindHeartbeat: the router pings each replica; the reply's Data carries
-//     the HBVector health gauges (fleet epoch, local epoch, queue depth, and
-//     the shed/NACK counters the router's failure detector folds into its
-//     suspicion score). An empty request, a small reply, no side effects.
+//   - KindHeartbeat: the router pings each replica with an empty frame;
+//     the reply carries the replica's fleet version — (transfer seq,
+//     coordinator nonce) of the last replicated epoch it applied, two
+//     uint32s — then, optionally, its encoded obs snapshot for the router's
+//     merged fleet view. The router reads the version for anti-entropy;
+//     liveness is the reply arriving at all.
 //
 //   - KindJoin: a replica announces itself to the router from its serving
 //     socket — the datagram's source address IS the address clients get
-//     routed to. Data[0] carries (fleet epoch seq, local journal seq); the
-//     router's reply echoes the frame with Data[0] = (router's current
-//     epoch seq, 0), so a stale replica learns immediately that a catch-up
-//     push is coming.
+//     routed to. The payload is the same fleet version, so a stale replica
+//     gets its catch-up push at once. The router does not reply.
 //
-//   - KindEpochPush / KindEpochAck: epoch replication. The payload is a
+//   - KindEpochPush / KindEpochAck: epoch replication. The bytes are a
 //     sealed internal/checkpoint epoch — CRC envelope and all, so the wire
 //     format IS the journal format and a replica can journal what it
 //     applied byte-for-byte. Sealed epochs outgrow one datagram, so the
-//     push is chunked: every chunk frame carries (index, total) in Label,
-//     (chunk length, total length) in Data[0], (byte offset, coordinator
-//     incarnation nonce) in Data[1], and a CRC32 digest over headers and
-//     bytes in Data[2], with the chunk bytes packed two per complex sample
-//     behind it (PackBytes — small integers survive the float32 wire
-//     exactly). The replica acks every chunk; the
-//     ack for the final, completing chunk carries the apply verdict, the
+//     push is chunked: every chunk frame carries (index, total) in Label and
+//     a 16-byte chunk header — byte offset, total length, coordinator
+//     nonce, and a CRC32 over every header field and the bytes, uint32
+//     each — before the chunk bytes. The replica acks every chunk; the ack
+//     for the final, completing chunk carries the apply verdict, the
 //     measured canary prediction agreement, and echoes the nonce.
 //
 // Chunks are idempotent and may arrive duplicated or out of order; the
@@ -74,118 +73,89 @@ const (
 	AckRejected uint8 = 2
 )
 
-// HBVector indexes the health gauges a KindHeartbeat reply carries in Data
-// (real parts). HBFleetSeq is the coordinator-assigned sequence of the last
-// replicated epoch the replica applied (0 until a push lands) — the fleet's
-// convergence variable; HBEpochSeq is the replica's own journal sequence.
+// Payload layouts of the fleet kinds, in bytes.
 const (
-	HBFleetSeq = iota
-	HBEpochSeq
-	HBQueueDepth
-	HBServed
-	HBShed
-	HBNacked
-	HBHeals
-	// HBFleetNonce is the coordinator incarnation nonce stamped on the last
-	// replicated epoch the replica applied (0 until a push lands). Paired
-	// with HBFleetSeq it makes the convergence variable unique across
-	// coordinator restarts, whose transfer sequences both start at 1.
-	HBFleetNonce
-	HBVectorLen
+	versionLen     = 8  // fleet version: seq, nonce
+	chunkHeaderLen = 16 // push chunk: offset, total length, nonce, CRC32
+	verdictLen     = 12 // completing ack: agreement (float64 bits), nonce
 )
 
-// MaxChunkBytes is the largest sealed-epoch slice one push frame can carry:
-// two packed bytes per complex sample, three samples reserved for the
-// (length, total), (offset, nonce), and digest headers.
-const MaxChunkBytes = 2 * (MaxVector - 3)
-
-// Chunk header integers (offset, length, total length) and nonces ride
-// complex samples that Marshal encodes as float32, which represents
-// integers exactly only up to 2^24. MaxTransferBytes caps a chunked
-// transfer (and with it every offset) at that bound so the headers survive
-// the wire bit-exactly; NonceMask keeps incarnation nonces inside it.
-const (
-	MaxTransferBytes = 1 << 24
-	NonceMask        = 1<<24 - 1
-)
+// MaxChunkBytes is the largest sealed-epoch slice one push frame carries.
+const MaxChunkBytes = MaxPayload - chunkHeaderLen
 
 // Heartbeat builds the router's liveness ping.
 func Heartbeat(id uint32) *Frame {
 	return &Frame{Kind: KindHeartbeat, ID: id}
 }
 
-// HeartbeatReply builds a replica's answer: the HBVector gauges as real
-// parts. Short vectors are zero-padded to HBVectorLen so older replicas
-// stay readable when the vector grows.
-func HeartbeatReply(id uint32, health []float64) *Frame {
-	data := make([]complex128, HBVectorLen)
-	for i := 0; i < len(health) && i < HBVectorLen; i++ {
-		data[i] = complex(health[i], 0)
+// HeartbeatReply builds a replica's answer to a heartbeat: its fleet
+// version — the sequence of the last replicated epoch it applied and the
+// nonce of the coordinator incarnation that pushed it, (0, 0) until a push
+// lands — followed by snapshot, an encoded obs.Snapshot for the router's
+// merged fleet metrics (nil for none). A snapshot too big for the datagram
+// is left off: liveness must never lose to telemetry.
+func HeartbeatReply(id uint32, seq uint64, nonce uint32, snapshot []byte) *Frame {
+	p := make([]byte, 0, versionLen+len(snapshot))
+	p = appendVersion(p, seq, nonce)
+	if len(p)+len(snapshot) <= MaxPayload {
+		p = append(p, snapshot...)
 	}
-	return &Frame{Kind: KindHeartbeat, ID: id, Data: data}
+	return &Frame{Kind: KindHeartbeat, ID: id, Payload: p}
 }
 
-// HealthVector extracts the HBVector gauges from a heartbeat reply,
-// zero-padding short payloads.
-func (f *Frame) HealthVector() []float64 {
-	out := make([]float64, HBVectorLen)
-	for i := 0; i < len(f.Data) && i < HBVectorLen; i++ {
-		out[i] = real(f.Data[i])
-	}
-	return out
+// Join builds a replica's membership announcement, carrying its fleet
+// version (see HeartbeatReply).
+func Join(id uint32, seq uint64, nonce uint32) *Frame {
+	return &Frame{Kind: KindJoin, ID: id, Payload: appendVersion(nil, seq, nonce)}
 }
 
-// Join builds a replica's membership announcement: the fleet epoch seq it
-// last applied (with the coordinator incarnation nonce that stamped it) and
-// its local journal seq, all as exact small-integer floats.
-func Join(id uint32, fleetSeq, localSeq uint64, fleetNonce uint32) *Frame {
-	return &Frame{Kind: KindJoin, ID: id, Data: []complex128{
-		complex(float64(fleetSeq), float64(localSeq)),
-		complex(float64(fleetNonce&NonceMask), 0),
-	}}
+func appendVersion(b []byte, seq uint64, nonce uint32) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(seq))
+	return binary.LittleEndian.AppendUint32(b, nonce)
 }
 
-// JoinInfo extracts the (fleet, local) epoch sequences and the fleet
-// nonce from a join frame or a join reply (where the fleet slots carry the
-// router's current seq and incarnation).
-func (f *Frame) JoinInfo() (fleetSeq, localSeq uint64, fleetNonce uint32) {
-	if len(f.Data) == 0 {
-		return 0, 0, 0
+// FleetVersion reads the fleet version a heartbeat reply or join carries;
+// ok is false when the payload is too short to hold one (a heartbeat
+// ping).
+func (f *Frame) FleetVersion() (seq uint64, nonce uint32, ok bool) {
+	if len(f.Payload) < versionLen {
+		return 0, 0, false
 	}
-	fleetSeq, localSeq = uint64(real(f.Data[0])), uint64(imag(f.Data[0]))
-	if len(f.Data) > 1 {
-		fleetNonce = uint32(real(f.Data[1]))
-	}
-	return fleetSeq, localSeq, fleetNonce
+	return uint64(binary.LittleEndian.Uint32(f.Payload)), binary.LittleEndian.Uint32(f.Payload[4:]), true
 }
 
-// chunkDigest is the per-chunk integrity check: a CRC32 over every header
-// field a push frame carries (transfer, mode, index, total, offset, total
-// length, nonce) plus the chunk bytes themselves. Frames have no payload
-// checksum of their own, so without this a single corrupted datagram can
-// tear a multi-chunk reassembly or land garbage bytes at a valid offset —
-// the receiver only discovers it when the sealed epoch's own CRC fails at
-// apply time, wasting the entire transfer.
-func chunkDigest(transfer uint32, mode uint8, index, total, offset, totalLen int, nonce uint32, chunk []byte) uint32 {
-	var hdr [25]byte
-	binary.LittleEndian.PutUint32(hdr[0:], transfer)
-	hdr[4] = mode
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(index))
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(total))
-	binary.LittleEndian.PutUint32(hdr[13:], uint32(offset))
-	binary.LittleEndian.PutUint32(hdr[17:], uint32(totalLen))
-	binary.LittleEndian.PutUint32(hdr[21:], nonce&NonceMask)
-	return crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, chunk)
+// Snapshot returns the obs snapshot blob a heartbeat reply piggybacks, or
+// nil when it carries none.
+func (f *Frame) Snapshot() []byte {
+	if len(f.Payload) <= versionLen {
+		return nil
+	}
+	return f.Payload[versionLen:]
+}
+
+// chunkDigest is a push frame's integrity check: a CRC32 over every header
+// field it carries — transfer ID, mode, (index, total), and the offset,
+// total length and nonce of its chunk header — plus the chunk bytes. Frames
+// have no payload checksum of their own, so without this a single
+// corrupted datagram can tear a multi-chunk reassembly or land garbage
+// bytes at a valid offset — the receiver only discovers it when the sealed
+// epoch's own CRC fails at apply time, wasting the entire transfer.
+func chunkDigest(f *Frame) uint32 {
+	var hdr [9]byte
+	binary.LittleEndian.PutUint32(hdr[0:], f.ID)
+	hdr[4] = f.Code
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(f.Label))
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, f.Payload[:12])
+	return crc32.Update(crc, crc32.IEEETable, f.Payload[chunkHeaderLen:])
 }
 
 // EpochChunk builds one replication chunk: slice index of total, carrying
 // chunk bytes at byte offset into a totalLen-byte sealed epoch, stamped
-// with the coordinator's incarnation nonce. The offset rides its own header
-// sample so reassembly never has to infer a stride — chunks of any size
-// land at their exact position even when duplicated or reordered. A third
-// header sample carries a CRC32 digest over headers and bytes, split into
-// float32-exact 24-bit + 8-bit halves, so a receiver can tell a chunk
-// mangled on the wire from a clean one and discard it for re-send.
+// with the coordinator's incarnation nonce. The offset rides the chunk
+// header so reassembly never has to infer a stride — chunks of any size
+// land at their exact position even when duplicated or reordered — and the
+// header's CRC32 lets a receiver tell a chunk mangled on the wire from a
+// clean one and discard it for re-send.
 func EpochChunk(transfer uint32, mode uint8, index, total int, chunk []byte, offset, totalLen int, nonce uint32) (*Frame, error) {
 	if len(chunk) > MaxChunkBytes {
 		return nil, fmt.Errorf("airproto: chunk of %d bytes exceeds %d", len(chunk), MaxChunkBytes)
@@ -193,26 +163,22 @@ func EpochChunk(transfer uint32, mode uint8, index, total int, chunk []byte, off
 	if index < 0 || total < 1 || index >= total || total > 0xffff {
 		return nil, fmt.Errorf("airproto: chunk index %d of %d out of range", index, total)
 	}
-	if offset < 0 || totalLen < 0 || offset+len(chunk) > totalLen {
+	if offset < 0 || offset+len(chunk) > totalLen || int64(totalLen) > math.MaxUint32 {
 		return nil, fmt.Errorf("airproto: chunk [%d, %d) outside %d-byte transfer", offset, offset+len(chunk), totalLen)
 	}
-	if totalLen > MaxTransferBytes {
-		return nil, fmt.Errorf("airproto: %d-byte transfer exceeds the %d-byte float32-exact cap", totalLen, MaxTransferBytes)
+	p := make([]byte, chunkHeaderLen, chunkHeaderLen+len(chunk))
+	binary.LittleEndian.PutUint32(p[0:], uint32(offset))
+	binary.LittleEndian.PutUint32(p[4:], uint32(totalLen))
+	binary.LittleEndian.PutUint32(p[8:], nonce)
+	f := &Frame{
+		Kind:    KindEpochPush,
+		Code:    mode,
+		ID:      transfer,
+		Label:   int32(uint32(index)<<16 | uint32(total)),
+		Payload: append(p, chunk...),
 	}
-	packed, _ := PackBytes(chunk)
-	crc := chunkDigest(transfer, mode, index, total, offset, totalLen, nonce, chunk)
-	data := make([]complex128, 3+len(packed))
-	data[0] = complex(float64(len(chunk)), float64(totalLen))
-	data[1] = complex(float64(offset), float64(nonce&NonceMask))
-	data[2] = complex(float64(crc&NonceMask), float64(crc>>24))
-	copy(data[3:], packed)
-	return &Frame{
-		Kind:  KindEpochPush,
-		Code:  mode,
-		ID:    transfer,
-		Label: int32(uint32(index)<<16 | uint32(total)),
-		Data:  data,
-	}, nil
+	binary.LittleEndian.PutUint32(f.Payload[12:], chunkDigest(f))
+	return f, nil
 }
 
 // ChunkInfo decodes the (index, total) pair from a push frame's Label.
@@ -221,64 +187,47 @@ func (f *Frame) ChunkInfo() (index, total int) {
 	return int(u >> 16), int(u & 0xffff)
 }
 
-// ChunkPayload extracts the chunk bytes, their byte offset, the transfer's
-// total byte length, and the coordinator nonce from a push frame. It
-// returns ok=false for a frame whose headers disagree with its payload — a
-// malformed or truncated chunk that must not enter reassembly — including
-// a total length past the float32-exact transfer cap, which can only be a
-// rounded or hostile header, and any frame whose CRC32 digest does not
-// match its headers and bytes: a chunk corrupted anywhere on the wire
-// (header byte, length field, payload sample) reads as not-a-chunk, and
-// the sender's stop-and-wait loop re-sends it like a drop.
+// ChunkPayload extracts the chunk bytes (a view into Payload), their byte
+// offset, the transfer's total byte length, and the coordinator nonce from
+// a push frame. It returns ok=false for a frame whose CRC32 digest does not
+// match its headers and bytes, or whose chunk overruns the transfer: a
+// chunk corrupted anywhere on the wire reads as not-a-chunk, and the
+// sender's stop-and-wait loop re-sends it like a drop.
 func (f *Frame) ChunkPayload() (chunk []byte, offset, totalLen int, nonce uint32, ok bool) {
-	if len(f.Data) < 3 {
+	p := f.Payload
+	if len(p) < chunkHeaderLen || binary.LittleEndian.Uint32(p[12:]) != chunkDigest(f) {
 		return nil, 0, 0, 0, false
 	}
-	n := int(real(f.Data[0]))
-	totalLen = int(imag(f.Data[0]))
-	offset = int(real(f.Data[1]))
-	nonce = uint32(imag(f.Data[1])) & NonceMask
-	if n < 0 || offset < 0 || totalLen < 0 || totalLen > MaxTransferBytes ||
-		offset+n > totalLen || n > 2*(len(f.Data)-3) {
+	offset = int(binary.LittleEndian.Uint32(p[0:]))
+	totalLen = int(binary.LittleEndian.Uint32(p[4:]))
+	chunk = p[chunkHeaderLen:]
+	if offset+len(chunk) > totalLen {
 		return nil, 0, 0, 0, false
 	}
-	crc := uint32(real(f.Data[2]))&NonceMask | uint32(imag(f.Data[2]))<<24
-	chunk = UnpackBytes(f.Data[3:], n)
-	index, total := f.ChunkInfo()
-	if crc != chunkDigest(f.ID, f.Code, index, total, offset, totalLen, nonce, chunk) {
-		return nil, 0, 0, 0, false
-	}
-	return chunk, offset, totalLen, nonce, true
+	return chunk, offset, totalLen, binary.LittleEndian.Uint32(p[8:]), true
 }
 
-// EpochAck builds a replica's chunk acknowledgement. For the completing
-// chunk, code carries the apply verdict, Data[0] the (agreement, applied
-// fleet seq) pair, and Data[1] echoes the transfer's coordinator nonce so
-// the sender can tell a fresh verdict from a cached one about another
-// incarnation's transfer; intermediate chunks ack with AckChunk and no
-// payload.
-func EpochAck(transfer uint32, index int, code uint8, agreement float64, seq uint64, nonce uint32) *Frame {
+// EpochAck builds a replica's chunk acknowledgement. Intermediate chunks
+// ack with AckChunk and no payload. For the completing chunk, code carries
+// the apply verdict and the payload the canary agreement, then the
+// transfer's coordinator nonce, echoed so the sender can tell a fresh
+// verdict from a cached one about another incarnation's transfer.
+func EpochAck(transfer uint32, index int, code uint8, agreement float64, nonce uint32) *Frame {
 	f := &Frame{Kind: KindEpochAck, Code: code, ID: transfer, Label: int32(index)}
 	if code != AckChunk {
-		f.Data = []complex128{
-			complex(agreement, float64(seq)),
-			complex(float64(nonce&NonceMask), 0),
-		}
+		p := binary.LittleEndian.AppendUint64(make([]byte, 0, verdictLen), math.Float64bits(agreement))
+		f.Payload = binary.LittleEndian.AppendUint32(p, nonce)
 	}
 	return f
 }
 
-// AckInfo extracts the chunk index, canary agreement, applied fleet
-// sequence, and echoed nonce from an ack frame (all but the index are zero
-// on AckChunk).
-func (f *Frame) AckInfo() (index int, agreement float64, seq uint64, nonce uint32) {
+// AckInfo extracts the chunk index, canary agreement, and echoed nonce from
+// an ack frame (agreement and nonce are zero on AckChunk).
+func (f *Frame) AckInfo() (index int, agreement float64, nonce uint32) {
 	index = int(f.Label)
-	if len(f.Data) > 0 {
-		agreement = real(f.Data[0])
-		seq = uint64(imag(f.Data[0]))
+	if len(f.Payload) >= verdictLen {
+		agreement = math.Float64frombits(binary.LittleEndian.Uint64(f.Payload))
+		nonce = binary.LittleEndian.Uint32(f.Payload[8:])
 	}
-	if len(f.Data) > 1 {
-		nonce = uint32(real(f.Data[1]))
-	}
-	return index, agreement, seq, nonce
+	return index, agreement, nonce
 }

@@ -2,11 +2,14 @@ package airproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
-func TestHeartbeatRoundTrip(t *testing.T) {
-	b, err := Heartbeat(42).Marshal()
+// wireRoundTrip marshals f and parses it back.
+func wireRoundTrip(t *testing.T, f *Frame) *Frame {
+	t.Helper()
+	b, err := f.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -14,60 +17,76 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindHeartbeat || got.ID != 42 || len(got.Data) != 0 {
+	return got
+}
+
+func TestHeartbeatRoundTrip(t *testing.T) {
+	got := wireRoundTrip(t, Heartbeat(42))
+	if got.Kind != KindHeartbeat || got.ID != 42 || len(got.Payload) != 0 {
 		t.Fatalf("heartbeat lost fields: %+v", got)
 	}
+	if _, _, ok := got.FleetVersion(); ok {
+		t.Fatal("a ping reads as carrying a fleet version")
+	}
 
-	health := []float64{3, 17, 2, 1234, 5, 1, 2}
-	b, err = HeartbeatReply(42, health).Marshal()
-	if err != nil {
-		t.Fatal(err)
+	blob := []byte("obs snapshot")
+	got = wireRoundTrip(t, HeartbeatReply(42, 17, 0x1234, blob))
+	if seq, nonce, ok := got.FleetVersion(); !ok || seq != 17 || nonce != 0x1234 {
+		t.Fatalf("fleet version (%d, %#x, %v), want (17, 0x1234, true)", seq, nonce, ok)
 	}
-	got, err = Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got.Snapshot(), blob) {
+		t.Fatalf("snapshot %q, want %q", got.Snapshot(), blob)
 	}
-	hv := got.HealthVector()
-	if len(hv) != HBVectorLen {
-		t.Fatalf("health vector length %d, want %d", len(hv), HBVectorLen)
+	if snap := wireRoundTrip(t, HeartbeatReply(42, 17, 0x1234, nil)).Snapshot(); snap != nil {
+		t.Fatalf("bare reply carries snapshot %q", snap)
 	}
-	for i, v := range health {
-		if hv[i] != v {
-			t.Fatalf("health[%d] = %v, want %v", i, hv[i], v)
-		}
+	// A snapshot too big for the datagram is left off; the version stays.
+	big := HeartbeatReply(42, 17, 0x1234, make([]byte, MaxPayload))
+	if _, err := big.Marshal(); err != nil {
+		t.Fatalf("oversized snapshot broke the heartbeat reply: %v", err)
 	}
-	// A short (older-replica) reply zero-pads instead of panicking.
-	short := HeartbeatReply(42, []float64{9})
-	short.Data = short.Data[:1]
-	if hv := short.HealthVector(); hv[HBFleetSeq] != 9 || hv[HBEpochSeq] != 0 {
-		t.Fatalf("short health vector mishandled: %v", hv)
+	if seq, _, ok := big.FleetVersion(); !ok || seq != 17 || big.Snapshot() != nil {
+		t.Fatalf("oversized snapshot mishandled: seq %d ok %v, %d snapshot bytes", seq, ok, len(big.Snapshot()))
 	}
 }
 
 func TestJoinRoundTrip(t *testing.T) {
-	b, err := Join(7, 12, 34, 0xabcde).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := wireRoundTrip(t, Join(7, 12, 0xabcde))
 	if got.Kind != KindJoin || got.ID != 7 {
 		t.Fatalf("join lost fields: %+v", got)
 	}
-	fs, ls, nonce := got.JoinInfo()
-	if fs != 12 || ls != 34 || nonce != 0xabcde {
-		t.Fatalf("join info (%d, %d, %#x), want (12, 34, 0xabcde)", fs, ls, nonce)
+	if seq, nonce, ok := got.FleetVersion(); !ok || seq != 12 || nonce != 0xabcde {
+		t.Fatalf("join version (%d, %#x, %v), want (12, 0xabcde, true)", seq, nonce, ok)
 	}
-	if fs, ls, nonce := (&Frame{Kind: KindJoin}).JoinInfo(); fs != 0 || ls != 0 || nonce != 0 {
-		t.Fatalf("empty join decoded to (%d, %d, %d)", fs, ls, nonce)
+	if seq, nonce, ok := (&Frame{Kind: KindJoin}).FleetVersion(); ok || seq != 0 || nonce != 0 {
+		t.Fatalf("empty join decoded to (%d, %d, %v)", seq, nonce, ok)
 	}
-	// An older single-sample join (no nonce) still yields its sequences.
-	short := Join(7, 5, 6, 1)
-	short.Data = short.Data[:1]
-	if fs, ls, nonce := short.JoinInfo(); fs != 5 || ls != 6 || nonce != 0 {
-		t.Fatalf("nonce-less join decoded to (%d, %d, %d)", fs, ls, nonce)
+}
+
+// TestFleetFramesCarryFullWidth: fleet integers ride fixed-width fields, so
+// sequences, nonces, offsets and totals past 2^24 — where a float32 stops
+// being integer-exact — and a canary agreement with no exact binary
+// fraction all arrive bit for bit.
+func TestFleetFramesCarryFullWidth(t *testing.T) {
+	const seq, nonce = 1<<24 + 3, 0xfedcba98
+	for _, f := range []*Frame{HeartbeatReply(1, seq, nonce, nil), Join(1, seq, nonce)} {
+		if s, n, ok := wireRoundTrip(t, f).FleetVersion(); !ok || s != seq || n != nonce {
+			t.Fatalf("kind %d version arrived as (%d, %#x, %v)", f.Kind, s, n, ok)
+		}
+	}
+
+	const offset, totalLen = 1<<24 + 1, 1<<25 + 7
+	f, err := EpochChunk(1, PushCommit, 2, 3, []byte{1, 2, 3}, offset, totalLen, nonce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk, off, tl, n, ok := wireRoundTrip(t, f).ChunkPayload()
+	if !ok || off != offset || tl != totalLen || n != nonce || !bytes.Equal(chunk, []byte{1, 2, 3}) {
+		t.Fatalf("chunk arrived as offset %d, total %d, nonce %#x, %v (ok %v)", off, tl, n, chunk, ok)
+	}
+
+	if _, agree, n := wireRoundTrip(t, EpochAck(1, 0, AckApplied, 0.1, nonce)).AckInfo(); agree != 0.1 || n != nonce {
+		t.Fatalf("ack arrived as agreement %v, nonce %#x", agree, n)
 	}
 }
 
@@ -80,14 +99,7 @@ func TestEpochChunkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := wireRoundTrip(t, f)
 	if got.Kind != KindEpochPush || got.Code != PushCanary || got.ID != 99 {
 		t.Fatalf("chunk lost header: %+v", got)
 	}
@@ -104,32 +116,12 @@ func TestEpochChunkRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEpochChunkNonceSurvivesFloat32(t *testing.T) {
-	// The nonce rides a float32 sample: every 24-bit value must round-trip
-	// bit-exactly, including the mask's edges.
-	for _, nonce := range []uint32{1, NonceMask, NonceMask - 1, 0x800001, 0xabcdef} {
-		f, err := EpochChunk(1, PushCommit, 0, 1, []byte{1}, 0, 1, nonce)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := f.Marshal()
-		got, _ := Unmarshal(b)
-		if _, _, _, n, ok := got.ChunkPayload(); !ok || n != nonce {
-			t.Fatalf("nonce %#x arrived as %#x (ok=%v)", nonce, n, ok)
-		}
-	}
-}
-
 func TestEpochChunkOddLength(t *testing.T) {
-	// Odd byte counts pad the final imaginary slot; the length header must
-	// still recover the exact byte string.
 	f, err := EpochChunk(1, PushCommit, 0, 1, []byte{1, 2, 3}, 0, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := f.Marshal()
-	got, _ := Unmarshal(b)
-	chunk, offset, totalLen, _, ok := got.ChunkPayload()
+	chunk, offset, totalLen, _, ok := wireRoundTrip(t, f).ChunkPayload()
 	if !ok || offset != 0 || totalLen != 3 || !bytes.Equal(chunk, []byte{1, 2, 3}) {
 		t.Fatalf("odd chunk corrupted: %v (offset %d, total %d, ok %v)", chunk, offset, totalLen, ok)
 	}
@@ -148,32 +140,27 @@ func TestEpochChunkRejectsMalformed(t *testing.T) {
 	if _, err := EpochChunk(1, PushCommit, 0, 2, []byte{1, 2}, 99, 100, 0); err == nil {
 		t.Error("chunk overrunning the transfer accepted")
 	}
-	// Transfers past the float32-exact cap would ship rounded offsets.
-	if _, err := EpochChunk(1, PushCommit, 0, 2, []byte{1, 2}, 0, MaxTransferBytes+1, 0); err == nil {
-		t.Error("transfer beyond the float32-exact cap accepted")
+	if _, err := EpochChunk(1, PushCommit, 0, 2, []byte{1, 2}, 0, 1<<32, 0); err == nil {
+		t.Error("transfer length beyond the 32-bit header field accepted")
 	}
-	// A frame whose length header claims more bytes than its payload holds
-	// must not enter reassembly.
-	f, _ := EpochChunk(1, PushCommit, 0, 2, []byte{1, 2, 3, 4}, 0, 100, 0)
-	f.Data[0] = complex(50, 100) // claims 50 bytes, carries 4
-	if _, _, _, _, ok := f.ChunkPayload(); ok {
-		t.Error("length-lying chunk accepted")
+	// The cap on a received total lives in the fleet reassembler, which
+	// allocates it: see fleet's TestReassemblerRejectsOverCapTotal.
+	// A chunk header lying about the geometry under a valid digest (the
+	// sender's bug, not the wire's) must not enter reassembly either.
+	lie := func(offset, totalLen uint32) *Frame {
+		f, _ := EpochChunk(1, PushCommit, 0, 2, []byte{1, 2, 3, 4}, 0, 100, 0)
+		binary.LittleEndian.PutUint32(f.Payload[0:], offset)
+		binary.LittleEndian.PutUint32(f.Payload[4:], totalLen)
+		binary.LittleEndian.PutUint32(f.Payload[12:], chunkDigest(f))
+		return f
 	}
-	f.Data[0] = complex(4, 2) // total shorter than the chunk itself
-	if _, _, _, _, ok := f.ChunkPayload(); ok {
+	if _, _, _, _, ok := lie(0, 2).ChunkPayload(); ok {
 		t.Error("total-lying chunk accepted")
 	}
-	f.Data[0] = complex(4, 100)
-	f.Data[1] = complex(98, 0) // offset pushes the chunk past the transfer end
-	if _, _, _, _, ok := f.ChunkPayload(); ok {
+	if _, _, _, _, ok := lie(98, 100).ChunkPayload(); ok {
 		t.Error("offset-lying chunk accepted")
 	}
-	f.Data[0] = complex(4, float64(MaxTransferBytes)+4096) // rounded/hostile total
-	f.Data[1] = complex(0, 0)
-	if _, _, _, _, ok := f.ChunkPayload(); ok {
-		t.Error("over-cap total accepted on receive")
-	}
-	if _, _, _, _, ok := (&Frame{Kind: KindEpochPush}).ChunkPayload(); ok {
+	if _, _, _, _, ok := (&Frame{Kind: KindEpochPush, Payload: make([]byte, chunkHeaderLen-1)}).ChunkPayload(); ok {
 		t.Error("headerless chunk accepted")
 	}
 }
@@ -198,11 +185,12 @@ func TestEpochChunkDigestDetectsTamper(t *testing.T) {
 		{"transfer ID", func(f *Frame) { f.ID ^= 1 }},
 		{"push mode", func(f *Frame) { f.Code ^= 1 }},
 		{"chunk index/total", func(f *Frame) { f.Label ^= 1 << 16 }},
-		{"byte offset", func(f *Frame) { f.Data[1] = complex(real(f.Data[1])+2, imag(f.Data[1])) }},
-		{"nonce", func(f *Frame) { f.Data[1] = complex(real(f.Data[1]), imag(f.Data[1])+1) }},
-		{"digest itself", func(f *Frame) { f.Data[2] = complex(real(f.Data[2])+1, imag(f.Data[2])) }},
-		{"payload byte", func(f *Frame) { f.Data[3] = complex(real(f.Data[3])+1, imag(f.Data[3])) }},
-		{"truncated payload", func(f *Frame) { f.Data = f.Data[:len(f.Data)-1]; f.Data[0] = complex(2, 48) }},
+		{"byte offset", func(f *Frame) { f.Payload[0] += 2 }},
+		{"total length", func(f *Frame) { f.Payload[4]++ }},
+		{"nonce", func(f *Frame) { f.Payload[8] ^= 1 }},
+		{"digest itself", func(f *Frame) { f.Payload[12]++ }},
+		{"payload byte", func(f *Frame) { f.Payload[chunkHeaderLen]++ }},
+		{"truncated payload", func(f *Frame) { f.Payload = f.Payload[:len(f.Payload)-1] }},
 	}
 	for _, tc := range tampers {
 		f := build()
@@ -212,15 +200,7 @@ func TestEpochChunkDigestDetectsTamper(t *testing.T) {
 		}
 	}
 	// And the untampered frame still round-trips through the wire.
-	b, err := build().Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunk, off, totalLen, nonce, ok := got.ChunkPayload(); !ok ||
+	if chunk, off, totalLen, nonce, ok := wireRoundTrip(t, build()).ChunkPayload(); !ok ||
 		off != 16 || totalLen != 48 || nonce != 0xabcdef || !bytes.Equal(chunk, []byte{9, 8, 7, 6, 5}) {
 		t.Fatalf("clean chunk refused: %v (offset %d, total %d, nonce %#x, ok %v)", chunk, off, totalLen, nonce, ok)
 	}
@@ -228,32 +208,18 @@ func TestEpochChunkDigestDetectsTamper(t *testing.T) {
 
 func TestEpochAckRoundTrip(t *testing.T) {
 	// Intermediate chunk ack: no payload.
-	b, err := EpochAck(5, 3, AckChunk, 0, 0, 9).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != KindEpochAck || got.Code != AckChunk || len(got.Data) != 0 {
+	got := wireRoundTrip(t, EpochAck(5, 3, AckChunk, 0, 9))
+	if got.Kind != KindEpochAck || got.Code != AckChunk || len(got.Payload) != 0 {
 		t.Fatalf("chunk ack lost fields: %+v", got)
 	}
-	if idx, _, _, _ := got.AckInfo(); idx != 3 {
+	if idx, _, _ := got.AckInfo(); idx != 3 {
 		t.Fatalf("chunk ack index %d, want 3", idx)
 	}
 
-	// Completing ack: verdict plus (agreement, seq) and the echoed nonce.
-	b, err = EpochAck(5, 4, AckApplied, 0.875, 11, 0x1234).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, agree, seq, nonce := got.AckInfo()
-	if got.Code != AckApplied || idx != 4 || agree != 0.875 || seq != 11 || nonce != 0x1234 {
-		t.Fatalf("final ack decoded to (%d, %v, %d, %#x, code %d)", idx, agree, seq, nonce, got.Code)
+	// Completing ack: verdict plus the agreement and the echoed nonce.
+	got = wireRoundTrip(t, EpochAck(5, 4, AckApplied, 0.875, 0x1234))
+	idx, agree, nonce := got.AckInfo()
+	if got.Code != AckApplied || idx != 4 || agree != 0.875 || nonce != 0x1234 {
+		t.Fatalf("final ack decoded to (%d, %v, %#x, code %d)", idx, agree, nonce, got.Code)
 	}
 }

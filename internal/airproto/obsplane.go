@@ -1,52 +1,8 @@
 package airproto
 
-import "encoding/binary"
-
-// Fleet observability additions to the wire protocol: distributed-trace
-// context on forwarded data frames, a normalize bit on trace fetches, and
-// a versioned stats vector that lets the router answer KindStats with
-// fleet-level counters without breaking old probes.
-
-// traceCtxSamples is the appended trace-context length on a KindDataTraced
-// frame: 16 bytes (trace ID + parent span ID, little endian) packed two
-// bytes per complex sample (see PackBytes).
-const traceCtxSamples = 8
-
-// AttachTraceContext rewrites a KindData frame into KindDataTraced by
-// appending the 64-bit trace ID and parent span ID as trailing samples. It
-// refuses (returning false, frame untouched) on non-data frames, a zero
-// trace ID, or a payload too large to carry the context.
-func AttachTraceContext(f *Frame, traceID, parentSpan uint64) bool {
-	if f.Kind != KindData || traceID == 0 || len(f.Data)+traceCtxSamples > MaxVector {
-		return false
-	}
-	var ctx [2 * traceCtxSamples]byte
-	binary.LittleEndian.PutUint64(ctx[:8], traceID)
-	binary.LittleEndian.PutUint64(ctx[8:], parentSpan)
-	samples, _ := PackBytes(ctx[:])
-	f.Data = append(f.Data, samples...)
-	f.Kind = KindDataTraced
-	return true
-}
-
-// StripTraceContext reverses AttachTraceContext: it removes the trailing
-// context samples, restores Kind to KindData, and returns the carried
-// trace ID and parent span ID. ok is false (frame untouched) when f is not
-// a well-formed KindDataTraced frame.
-func StripTraceContext(f *Frame) (traceID, parentSpan uint64, ok bool) {
-	if f.Kind != KindDataTraced || len(f.Data) < traceCtxSamples {
-		return 0, 0, false
-	}
-	tail := UnpackBytes(f.Data[len(f.Data)-traceCtxSamples:], 2*traceCtxSamples)
-	traceID = binary.LittleEndian.Uint64(tail[:8])
-	parentSpan = binary.LittleEndian.Uint64(tail[8:])
-	if traceID == 0 {
-		return 0, 0, false
-	}
-	f.Data = f.Data[:len(f.Data)-traceCtxSamples]
-	f.Kind = KindData
-	return traceID, parentSpan, true
-}
+// Fleet observability additions to the wire protocol: a normalize bit on
+// trace fetches, and a versioned stats vector that lets the router answer
+// KindStats with fleet-level counters without breaking old probes.
 
 // TraceFlagNormalize, set on a KindTrace REQUEST's Code field, asks the
 // responder to export with deterministic normalized timestamps

@@ -7,54 +7,48 @@ import (
 
 func TestTraceContextRoundTrip(t *testing.T) {
 	payload := []complex128{complex(1, 2), complex(3, 4), complex(5, 6)}
-	f := &Frame{Kind: KindData, ID: 77, Label: 3, Data: append([]complex128(nil), payload...)}
-	if !AttachTraceContext(f, 0xdeadbeefcafef00d, 0x0123456789abcdef) {
-		t.Fatal("attach refused a well-formed data frame")
-	}
-	if f.Kind != KindDataTraced || len(f.Data) != len(payload)+traceCtxSamples {
-		t.Fatalf("attach produced kind=%d len=%d", f.Kind, len(f.Data))
-	}
-	// The context must survive the float32 wire format bit-exactly.
+	f := &Frame{Kind: KindData, ID: 77, Label: 3, Data: payload, Trace: 0xdeadbeefcafef00d, ParentSpan: 0x0123456789abcdef}
 	wire, err := f.Marshal()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wire[0] != KindDataTraced || len(wire) != HeaderLen+traceExtLen+8*len(payload) {
+		t.Fatalf("traced frame went out as kind %d, %d bytes", wire[0], len(wire))
+	}
+	// The extension must not disturb the samples: past it, the bytes are
+	// exactly the untraced frame's.
+	plain, _ := (&Frame{Kind: KindData, ID: 77, Label: 3, Data: payload}).Marshal()
+	if !reflect.DeepEqual(wire[1:HeaderLen], plain[1:HeaderLen]) || !reflect.DeepEqual(wire[HeaderLen+traceExtLen:], plain[HeaderLen:]) {
+		t.Fatal("trace extension changed the header or the samples")
 	}
 	g, err := Unmarshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tid, parent, ok := StripTraceContext(g)
-	if !ok {
-		t.Fatal("strip refused a traced frame")
-	}
-	if tid != 0xdeadbeefcafef00d || parent != 0x0123456789abcdef {
-		t.Fatalf("context mangled: trace=%x parent=%x", tid, parent)
-	}
-	if g.Kind != KindData || !reflect.DeepEqual(g.Data, payload) {
-		t.Fatalf("strip did not restore the original frame: kind=%d data=%v", g.Kind, g.Data)
+	if g.Kind != KindData || g.Trace != 0xdeadbeefcafef00d || g.ParentSpan != 0x0123456789abcdef || !reflect.DeepEqual(g.Data, payload) {
+		t.Fatalf("traced frame came back as kind %d, trace %x, parent %x, data %v", g.Kind, g.Trace, g.ParentSpan, g.Data)
 	}
 }
 
 func TestTraceContextRefusals(t *testing.T) {
-	if AttachTraceContext(&Frame{Kind: KindStats}, 1, 2) {
-		t.Fatal("attach accepted a non-data frame")
+	if _, err := (&Frame{Kind: KindStats, Trace: 1, ParentSpan: 2}).Marshal(); err == nil {
+		t.Fatal("marshalled trace context on a non-data frame")
 	}
-	if AttachTraceContext(&Frame{Kind: KindData}, 0, 2) {
-		t.Fatal("attach accepted a zero trace ID")
+	if _, err := (&Frame{Kind: KindData, ParentSpan: 2}).Marshal(); err == nil {
+		t.Fatal("marshalled trace context with a zero trace ID")
 	}
-	full := &Frame{Kind: KindData, Data: make([]complex128, MaxVector-traceCtxSamples+1)}
-	if AttachTraceContext(full, 1, 2) {
-		t.Fatal("attach overflowed MaxVector")
+	// On the wire, a traced frame with trace ID 0 or an extension cut short
+	// is malformed: Unmarshal refuses it, so the server NACKs instead of
+	// serving it untraced or dropping it silently.
+	wire, _ := (&Frame{Kind: KindData, ID: 5, Trace: 1, ParentSpan: 2}).Marshal()
+	if _, err := Unmarshal(wire[:HeaderLen+traceExtLen-1]); err == nil {
+		t.Fatal("accepted a traced frame cut inside its extension")
 	}
-	if full.Kind != KindData || len(full.Data) != MaxVector-traceCtxSamples+1 {
-		t.Fatal("refused attach still mutated the frame")
+	for i := HeaderLen; i < HeaderLen+8; i++ {
+		wire[i] = 0
 	}
-	if _, _, ok := StripTraceContext(&Frame{Kind: KindData, Data: make([]complex128, 16)}); ok {
-		t.Fatal("strip accepted a plain data frame")
-	}
-	short := &Frame{Kind: KindDataTraced, Data: make([]complex128, traceCtxSamples-1)}
-	if _, _, ok := StripTraceContext(short); ok {
-		t.Fatal("strip accepted an under-length traced frame")
+	if _, err := Unmarshal(wire); err == nil {
+		t.Fatal("accepted a traced frame with trace ID 0")
 	}
 }
 

@@ -1,25 +1,10 @@
 package airproto
 
-// Over-the-air trace fetch. The frame layout was designed around
-// 32-bit-ID inference requests and float32 complex vectors; trace IDs are
-// 64-bit and trace exports are JSON bytes, so KindTrace rides the
-// existing fields with two conventions:
-//
-//   - The 64-bit trace ID splits across the header: ID carries the low 32
-//     bits, Label the high 32 (reinterpreted as uint32). TraceRequest and
-//     (*Frame).TraceID convert.
-//   - The JSON body packs two bytes per complex sample — one byte in the
-//     real part, one in the imaginary — as exact small-integer float32s
-//     (every integer in [0, 255] is exactly representable), so the bytes
-//     survive the float32 wire format bit-exactly. Label on the RESPONSE
-//     carries the byte length (odd lengths pad the final imaginary slot),
-//     and Code carries StatusNoTrace when the body had to be truncated to
-//     fit MaxVector. PackBytes/UnpackBytes convert.
-//
-// A two-bytes-per-sample payload spends 4× the wire bytes of the raw
-// JSON, but a full export still fits one datagram for typical span trees
-// (MaxVector samples ≈ 16 KiB of JSON), and no second payload format
-// enters the protocol.
+// Over-the-air trace fetch. Trace IDs are 64-bit and the request header
+// has no 64-bit field, so the ID splits across the header: ID carries the
+// low 32 bits, Label the high 32 (reinterpreted as uint32). TraceRequest
+// and (*Frame).TraceID convert. The reply's Payload is the trace's
+// Chrome-format JSON export.
 
 // TraceRequest builds the KindTrace request frame for a 64-bit trace ID.
 func TraceRequest(id uint64) *Frame {
@@ -35,45 +20,13 @@ func (f *Frame) TraceID() uint64 {
 	return uint64(uint32(f.Label))<<32 | uint64(f.ID)
 }
 
-// MaxTraceBytes is the largest payload a single KindTrace response can
-// carry (two bytes per complex sample).
-const MaxTraceBytes = 2 * MaxVector
-
-// PackBytes packs an opaque byte payload into a complex vector, two bytes
-// per sample, truncating at MaxTraceBytes. It returns the vector and the
-// packed byte count (== len(b) unless truncated).
-func PackBytes(b []byte) ([]complex128, int) {
-	n := len(b)
-	if n > MaxTraceBytes {
-		n = MaxTraceBytes
+// TraceReply answers KindTrace request id with a trace export. An export
+// longer than MaxPayload is cut there, and Code carries StatusNoTrace to
+// say so.
+func TraceReply(id uint32, doc []byte) *Frame {
+	f := &Frame{Kind: KindTrace, ID: id, Payload: doc}
+	if len(doc) > MaxPayload {
+		f.Code, f.Payload = StatusNoTrace, doc[:MaxPayload]
 	}
-	data := make([]complex128, (n+1)/2)
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			data[i/2] = complex(float64(b[i]), 0)
-		} else {
-			data[i/2] = complex(real(data[i/2]), float64(b[i]))
-		}
-	}
-	return data, n
-}
-
-// UnpackBytes reverses PackBytes: the first n bytes carried by the
-// vector. n beyond the vector's capacity is clamped.
-func UnpackBytes(data []complex128, n int) []byte {
-	if n < 0 {
-		n = 0
-	}
-	if max := 2 * len(data); n > max {
-		n = max
-	}
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			out[i] = byte(real(data[i/2]))
-		} else {
-			out[i] = byte(imag(data[i/2]))
-		}
-	}
-	return out
+	return f
 }

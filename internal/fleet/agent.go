@@ -47,13 +47,12 @@ type cachedAck struct {
 type ApplyFunc func(sealed []byte, mode uint8, tid uint32) (agreement float64, err error)
 
 // Agent is the replica-side half of the fleet protocol: it answers the
-// router's heartbeats with the replica's health vector and receives chunked
+// router's heartbeats with the replica's fleet version and receives chunked
 // epoch pushes, reassembling, applying, and acking them. It is wired into
 // the serving read loop — one socket carries data, liveness, and
 // replication.
 type Agent struct {
-	health func() []float64
-	apply  ApplyFunc
+	apply ApplyFunc
 
 	// fleetVer packs (incarnation nonce << 32 | transfer seq) of the last
 	// applied push; 0 until a push lands. One word so heartbeat replies read
@@ -64,7 +63,7 @@ type Agent struct {
 	// (obs.EncodeSnapshot) to piggyback on heartbeat replies — the
 	// replica's contribution to the router's merged fleet snapshot. Nil
 	// (the default, and whenever observability is disabled) keeps replies
-	// byte-identical to the pre-obs-plane wire.
+	// to the bare fleet version.
 	snapSource atomic.Pointer[func() []byte]
 
 	mu       sync.Mutex
@@ -73,14 +72,10 @@ type Agent struct {
 	ackOrder []uint32
 }
 
-// NewAgent builds a replica agent. health supplies the HBVector gauges for
-// heartbeat replies; apply installs completed epoch transfers (nil refuses
-// every push — a heartbeat-only agent).
-func NewAgent(health func() []float64, apply ApplyFunc) *Agent {
-	if health == nil {
-		health = func() []float64 { return nil }
-	}
-	return &Agent{health: health, apply: apply, reasm: NewReassembler(), acks: make(map[uint32]cachedAck)}
+// NewAgent builds a replica agent. apply installs completed epoch
+// transfers (nil refuses every push — a heartbeat-only agent).
+func NewAgent(apply ApplyFunc) *Agent {
+	return &Agent{apply: apply, reasm: NewReassembler(), acks: make(map[uint32]cachedAck)}
 }
 
 // FleetSeq returns the coordinator-assigned sequence of the last epoch this
@@ -109,42 +104,22 @@ func (a *Agent) SetSnapshotSource(src func() []byte) {
 	a.snapSource.Store(&src)
 }
 
-// attachSnapshot appends the snapshot blob (packed two bytes per sample,
-// like trace payloads) after the health vector and records its byte length
-// in Label. Routers older than the obs plane ignore both: they read only
-// the first HBVectorLen samples and never look at a heartbeat's Label. A
-// blob too big for the frame is skipped — liveness must never lose to
-// telemetry.
-func (a *Agent) attachSnapshot(reply *airproto.Frame) {
-	srcp := a.snapSource.Load()
-	if srcp == nil {
-		return
-	}
-	blob := (*srcp)()
-	if len(blob) == 0 {
-		return
-	}
-	samples, n := airproto.PackBytes(blob)
-	if n < len(blob) || len(reply.Data)+len(samples) > airproto.MaxVector {
-		return
-	}
-	reply.Data = append(reply.Data, samples...)
-	reply.Label = int32(n)
-}
-
 // HandleFrame processes one fleet-control frame and returns the reply to
-// send, or ok=false when the frame needs no answer (join replies, other
+// send, or ok=false when the frame needs no answer (joins and other
 // router-side frames that reached a replica, and push chunks corrupted in
 // flight, which the coordinator re-sends on timeout).
 func (a *Agent) HandleFrame(f *airproto.Frame) (*airproto.Frame, bool) {
 	switch f.Kind {
 	case airproto.KindHeartbeat:
-		if len(f.Data) > 0 {
+		if len(f.Payload) > 0 {
 			return nil, false // a reply, not a ping; not ours to answer
 		}
-		reply := airproto.HeartbeatReply(f.ID, a.health())
-		a.attachSnapshot(reply)
-		return reply, true
+		var blob []byte
+		if src := a.snapSource.Load(); src != nil {
+			blob = (*src)()
+		}
+		seq, nonce := a.FleetVersion()
+		return airproto.HeartbeatReply(f.ID, seq, nonce, blob), true
 	case airproto.KindEpochPush:
 		if reply := a.handlePush(f); reply != nil {
 			return reply, true
@@ -153,8 +128,8 @@ func (a *Agent) HandleFrame(f *airproto.Frame) (*airproto.Frame, bool) {
 		// The coordinator's stop-and-wait re-sends it exactly like a drop.
 		return nil, false
 	}
-	// KindJoin replies (and any stray KindEpochAck) land here: consumed
-	// silently so a replica never answers a reply with a reply.
+	// KindJoin (and any stray KindEpochAck) lands here: a replica announces
+	// itself but never answers another's announcement or a verdict.
 	return nil, false
 }
 
@@ -186,7 +161,7 @@ func (a *Agent) handlePush(f *airproto.Frame) *airproto.Frame {
 		return a.finishTransfer(f.ID, idx, nonce, airproto.AckRejected, 0)
 	}
 	if !done {
-		return airproto.EpochAck(f.ID, idx, airproto.AckChunk, 0, 0, nonce)
+		return airproto.EpochAck(f.ID, idx, airproto.AckChunk, 0, nonce)
 	}
 	if a.apply == nil {
 		return a.finishTransfer(f.ID, idx, nonce, airproto.AckRejected, 0)
@@ -204,7 +179,7 @@ func (a *Agent) handlePush(f *airproto.Frame) *airproto.Frame {
 // are transient (possibly corruption-born) and must not poison retries.
 // Callers hold mu.
 func (a *Agent) finishTransfer(tid uint32, idx int, nonce uint32, code uint8, agreement float64) *airproto.Frame {
-	ack := airproto.EpochAck(tid, idx, code, agreement, a.FleetSeq(), nonce)
+	ack := airproto.EpochAck(tid, idx, code, agreement, nonce)
 	if code != airproto.AckApplied {
 		a.forgetAck(tid)
 		return ack

@@ -9,14 +9,14 @@ import (
 )
 
 func TestAgentAnswersHeartbeat(t *testing.T) {
-	a := NewAgent(func() []float64 { return []float64{5, 9, 1} }, nil)
+	a := NewAgent(nil)
+	a.fleetVer.Store(0x77<<32 | 5)
 	resp, ok := a.HandleFrame(airproto.Heartbeat(77))
 	if !ok || resp.Kind != airproto.KindHeartbeat || resp.ID != 77 {
 		t.Fatalf("heartbeat answered with %+v (ok=%v)", resp, ok)
 	}
-	hv := resp.HealthVector()
-	if hv[airproto.HBFleetSeq] != 5 || hv[airproto.HBEpochSeq] != 9 {
-		t.Fatalf("health vector %v", hv)
+	if seq, nonce, ok := resp.FleetVersion(); !ok || seq != 5 || nonce != 0x77 {
+		t.Fatalf("heartbeat reply carries fleet version (%d, %#x, %v), want (5, 0x77, true)", seq, nonce, ok)
 	}
 	// A heartbeat REPLY (non-empty data) is not ours to answer: replying
 	// would ping-pong between two replicas forever.
@@ -28,7 +28,7 @@ func TestAgentAnswersHeartbeat(t *testing.T) {
 func TestAgentAppliesChunkedPushOnce(t *testing.T) {
 	sealed := testSealed(4_000, 9)
 	applies := 0
-	a := NewAgent(nil, func(got []byte, mode uint8, tid uint32) (float64, error) {
+	a := NewAgent(func(got []byte, mode uint8, tid uint32) (float64, error) {
 		applies++
 		if !bytes.Equal(got, sealed) {
 			t.Fatal("apply saw different bytes")
@@ -52,7 +52,7 @@ func TestAgentAppliesChunkedPushOnce(t *testing.T) {
 			if ack.Code != airproto.AckChunk {
 				t.Fatalf("chunk %d acked with code %d", i, ack.Code)
 			}
-			if idx, _, _, _ := ack.AckInfo(); idx != i {
+			if idx, _, _ := ack.AckInfo(); idx != i {
 				t.Fatalf("chunk %d acked as index %d", i, idx)
 			}
 		} else {
@@ -62,8 +62,8 @@ func TestAgentAppliesChunkedPushOnce(t *testing.T) {
 	if final.Code != airproto.AckApplied {
 		t.Fatalf("final ack code %d", final.Code)
 	}
-	if _, agree, seq, _ := final.AckInfo(); agree != 0.9375 || seq != 21 {
-		t.Fatalf("final ack (agreement %v, seq %d)", agree, seq)
+	if _, agree, nonce := final.AckInfo(); agree != 0.9375 || nonce != 0x77 {
+		t.Fatalf("final ack (agreement %v, nonce %#x)", agree, nonce)
 	}
 	if applies != 1 {
 		t.Fatalf("apply ran %d times", applies)
@@ -89,7 +89,7 @@ func TestAgentRejectsFailingApply(t *testing.T) {
 	sealed := testSealed(1_000, 10)
 	var fail = true
 	applies := 0
-	a := NewAgent(nil, func([]byte, uint8, uint32) (float64, error) {
+	a := NewAgent(func([]byte, uint8, uint32) (float64, error) {
 		applies++
 		if fail {
 			return 0.25, fmt.Errorf("bad epoch")
@@ -135,7 +135,7 @@ func TestAgentRejectsFailingApply(t *testing.T) {
 func TestAgentIgnoresCorruptChunk(t *testing.T) {
 	sealed := testSealed(4_000, 14)
 	applies := 0
-	a := NewAgent(nil, func(got []byte, mode uint8, tid uint32) (float64, error) {
+	a := NewAgent(func(got []byte, mode uint8, tid uint32) (float64, error) {
 		applies++
 		if !bytes.Equal(got, sealed) {
 			t.Fatal("apply saw torn bytes")
@@ -151,11 +151,11 @@ func TestAgentIgnoresCorruptChunk(t *testing.T) {
 	}
 	var final *airproto.Frame
 	for i, f := range frames {
-		// Deliver a corrupted copy first: one payload sample off by one, as
-		// wire corruption would leave it after Unmarshal still parses.
+		// Deliver a corrupted copy first: one chunk byte off by one, as wire
+		// corruption would leave it after Unmarshal still parses.
 		bad := *f
-		bad.Data = append([]complex128(nil), f.Data...)
-		bad.Data[3] = complex(real(bad.Data[3])+1, imag(bad.Data[3]))
+		bad.Payload = append([]byte(nil), f.Payload...)
+		bad.Payload[len(bad.Payload)-1]++
 		if reply, ok := a.HandleFrame(&bad); ok || reply != nil {
 			t.Fatalf("corrupt chunk %d earned a reply: %+v", i, reply)
 		}
@@ -177,8 +177,8 @@ func TestAgentIgnoresCorruptChunk(t *testing.T) {
 	// must not evict its cached verdict: the next clean retransmit is still
 	// answered from cache, without re-applying.
 	bad := *frames[0]
-	bad.Data = append([]complex128(nil), frames[0].Data...)
-	bad.Data[1] = complex(real(bad.Data[1]), imag(bad.Data[1])+1) // nonce flipped in flight
+	bad.Payload = append([]byte(nil), frames[0].Payload...)
+	bad.Payload[8] ^= 1 // nonce flipped in flight
 	if reply, ok := a.HandleFrame(&bad); ok || reply != nil {
 		t.Fatalf("corrupt retransmit earned a reply: %+v", reply)
 	}
@@ -190,10 +190,31 @@ func TestAgentIgnoresCorruptChunk(t *testing.T) {
 
 func TestAgentNilApplyRejects(t *testing.T) {
 	frames, _ := Chunks(3, airproto.PushCommit, testSealed(100, 11), 600, 0x77)
-	a := NewAgent(nil, nil)
+	a := NewAgent(nil)
 	ack, ok := a.HandleFrame(frames[0])
 	if !ok || ack.Code != airproto.AckRejected {
 		t.Fatalf("heartbeat-only agent answered a push with %+v", ack)
+	}
+}
+
+// TestAgentRejectsOverCapPush: a single chunk claiming a transfer past the
+// reassembly cap is rejected without reaching apply, so a forged header
+// never makes the replica allocate or decode it.
+func TestAgentRejectsOverCapPush(t *testing.T) {
+	f, err := airproto.EpochChunk(4, airproto.PushCommit, 0, 1, []byte{1}, 0, maxTransferBytes+1, 0x77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAgent(func([]byte, uint8, uint32) (float64, error) {
+		t.Fatal("apply called for an over-cap transfer")
+		return 0, nil
+	})
+	ack, ok := a.HandleFrame(f)
+	if !ok || ack.Kind != airproto.KindEpochAck || ack.Code != airproto.AckRejected {
+		t.Fatalf("over-cap push answered with %+v (ok=%v)", ack, ok)
+	}
+	if seq, _ := a.FleetVersion(); seq != 0 {
+		t.Fatalf("fleet seq %d after a rejected push, want 0", seq)
 	}
 }
 
@@ -207,7 +228,7 @@ func TestAgentNewIncarnationBustsAckCache(t *testing.T) {
 	first := testSealed(2_000, 12)
 	second := testSealed(2_000, 13)
 	var applied [][]byte
-	a := NewAgent(nil, func(sealed []byte, mode uint8, tid uint32) (float64, error) {
+	a := NewAgent(func(sealed []byte, mode uint8, tid uint32) (float64, error) {
 		applied = append(applied, append([]byte(nil), sealed...))
 		return 1, nil
 	})
@@ -252,7 +273,7 @@ func TestAgentNewIncarnationBustsAckCache(t *testing.T) {
 	if ack.Code != airproto.AckApplied {
 		t.Fatalf("retransmit under the new incarnation answered with code %d", ack.Code)
 	}
-	if _, _, _, nonce := ack.AckInfo(); nonce != 0xbbb {
+	if _, _, nonce := ack.AckInfo(); nonce != 0xbbb {
 		t.Fatalf("cached ack echoes nonce %#x, want 0xbbb", nonce)
 	}
 	if len(applied) != 2 {
@@ -260,9 +281,11 @@ func TestAgentNewIncarnationBustsAckCache(t *testing.T) {
 	}
 }
 
+// TestAgentIgnoresJoinReplies: a join reaching a replica (another
+// replica's announcement) is never answered; joins are one-way.
 func TestAgentIgnoresJoinReplies(t *testing.T) {
-	a := NewAgent(nil, nil)
-	if _, ok := a.HandleFrame(airproto.Join(1, 2, 3, 4)); ok {
+	a := NewAgent(nil)
+	if _, ok := a.HandleFrame(airproto.Join(1, 2, 4)); ok {
 		t.Fatal("agent answered a join frame")
 	}
 }

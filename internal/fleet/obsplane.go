@@ -148,12 +148,7 @@ func (r *Router) answerTrace(conn netchaos.PacketConn, f *airproto.Frame, from *
 	if len(hopDocs) > 0 {
 		doc = trace.StitchJSON(rootDoc, hopDocs...)
 	}
-	data, n := airproto.PackBytes(doc)
-	reply := &airproto.Frame{Kind: airproto.KindTrace, ID: f.ID, Label: int32(n), Data: data}
-	if n < len(doc) {
-		reply.Code = airproto.StatusNoTrace // truncated, same convention as replicas
-	}
-	r.writeTo(conn, from, reply)
+	r.writeTo(conn, from, airproto.TraceReply(f.ID, doc))
 }
 
 // fetchRemoteTrace pulls one replica's segment of a trace over the
@@ -181,10 +176,10 @@ func (r *Router) fetchRemoteTrace(m *member, id uint64, code uint8) ([]byte, boo
 			if f.IsNack() {
 				return nil, false // StatusNoTrace: this replica holds no segment
 			}
-			if f.Kind != airproto.KindTrace || len(f.Data) == 0 {
+			if f.Kind != airproto.KindTrace || len(f.Payload) == 0 {
 				continue // stale datagram matched the ID; keep waiting
 			}
-			return airproto.UnpackBytes(f.Data, int(f.Label)), true
+			return f.Payload, true
 		case <-timer.C:
 			return nil, false
 		case <-r.stop:

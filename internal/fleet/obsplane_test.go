@@ -13,8 +13,13 @@ import (
 )
 
 // serveAgent answers frames for a bare Agent on a loopback UDP socket until
-// the test ends: heartbeats in, health vector plus piggybacked snapshot out.
-func serveAgent(t *testing.T, a *Agent) *net.UDPAddr {
+// the test ends: heartbeats in, fleet version plus piggybacked snapshot out.
+func serveAgent(t *testing.T, a *Agent) *net.UDPAddr { return serveReplica(t, a, nil) }
+
+// serveReplica is serveAgent plus a data plane: each KindData frame goes to
+// data, whose non-nil reply is sent back. With data nil, data frames are
+// dropped.
+func serveReplica(t *testing.T, a *Agent, data func(*airproto.Frame) *airproto.Frame) *net.UDPAddr {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -33,7 +38,15 @@ func serveAgent(t *testing.T, a *Agent) *net.UDPAddr {
 			if err != nil {
 				continue
 			}
-			if reply, ok := a.HandleFrame(f); ok {
+			var reply *airproto.Frame
+			if f.Kind == airproto.KindData {
+				if data != nil {
+					reply = data(f)
+				}
+			} else if r, ok := a.HandleFrame(f); ok {
+				reply = r
+			}
+			if reply != nil {
 				if out, err := reply.Marshal(); err == nil {
 					conn.WriteToUDP(out, from)
 				}
@@ -77,12 +90,18 @@ func TestRouterFleetMetricsPlane(t *testing.T) {
 	source := func(reg *obs.Registry) func() []byte {
 		return func() []byte { return obs.EncodeSnapshot(reg.Snapshot()) }
 	}
-	// Agent a reports its reply ordinal as HBFleetSeq, so MemberFleetSeq
-	// shows which of its replies the router has consumed.
+	// Agent a bumps its fleet seq each time a heartbeat reply reads its
+	// snapshot source, so MemberFleetSeq shows which of its replies the
+	// router has consumed.
 	var repliesA atomic.Int64
-	agentA := NewAgent(func() []float64 { return []float64{float64(repliesA.Add(1))} }, nil)
-	agentB := NewAgent(nil, nil)
-	agentA.SetSnapshotSource(source(regA))
+	agentA, agentB := NewAgent(nil), NewAgent(nil)
+	counted := func(src func() []byte) func() []byte {
+		return func() []byte {
+			agentA.fleetVer.Store(uint64(repliesA.Add(1)))
+			return src()
+		}
+	}
+	agentA.SetSnapshotSource(counted(source(regA)))
 	agentB.SetSnapshotSource(source(regB))
 	addrA, addrB := serveAgent(t, agentA), serveAgent(t, agentB)
 
@@ -164,10 +183,10 @@ func TestRouterFleetMetricsPlane(t *testing.T) {
 		t.Fatal("mangled blob still decodes")
 	}
 	var firstBad atomic.Int64
-	agentA.SetSnapshotSource(func() []byte {
+	agentA.SetSnapshotSource(counted(func() []byte {
 		firstBad.CompareAndSwap(0, repliesA.Load())
 		return bad
-	})
+	}))
 	waitUntil(t, "the router to consume two replies after the first bad blob", func() bool {
 		seq, _ := router.MemberFleetSeq("a")
 		return firstBad.Load() > 0 && int64(seq) >= firstBad.Load()+2

@@ -78,7 +78,7 @@ func (r *Router) Publish(sealed []byte) error {
 		r.det.ReportForward(canary.name, true, time.Now())
 		return fmt.Errorf("fleet: canary %s unreachable: %w", canary.name, err)
 	}
-	_, agreement, _, _ := ack.AckInfo()
+	_, agreement, _ := ack.AckInfo()
 	csp.SetNum("agreement", agreement)
 	csp.End()
 	if ack.Code != airproto.AckApplied || agreement < r.cfg.CanaryFrac {
@@ -240,12 +240,12 @@ func (r *Router) pushEpoch(m *member, tid uint32, sealed []byte, mode uint8) (*a
 					// rejection). Final only if it is about THIS
 					// incarnation's transfer: a verdict echoing another
 					// nonce is a stale cache answer about different bytes.
-					if _, _, _, nonce := af.AckInfo(); nonce != r.incar {
+					if _, _, nonce := af.AckInfo(); nonce != r.incar {
 						continue
 					}
 					return af, nil
 				}
-				if idx, _, _, _ := af.AckInfo(); idx == i {
+				if idx, _, _ := af.AckInfo(); idx == i {
 					acked = true
 				}
 			}

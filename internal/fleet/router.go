@@ -146,7 +146,7 @@ type Router struct {
 	cfg Config
 	det *Detector
 	up  *net.UDPConn // upstream socket: heartbeats + forwarded requests
-	// incar is this coordinator incarnation's random 24-bit nonce, stamped
+	// incar is this coordinator incarnation's random 32-bit nonce, stamped
 	// on every push chunk and compared against the nonce replicas report
 	// back. It must differ across process restarts (so it is NOT derived
 	// from Config.Seed): transfer sequences restart from 1 with the process,
@@ -180,17 +180,17 @@ type Router struct {
 	closeOnce sync.Once
 }
 
-// newIncarnation draws a nonzero random 24-bit coordinator nonce. Entropy
+// newIncarnation draws a nonzero random 32-bit coordinator nonce. Entropy
 // comes from the OS, falling back to the wall clock — never from a config
 // seed, which a restarted process would reuse.
 func newIncarnation() uint32 {
 	var b [4]byte
 	if _, err := crand.Read(b[:]); err == nil {
-		if n := binary.LittleEndian.Uint32(b[:]) & airproto.NonceMask; n != 0 {
+		if n := binary.LittleEndian.Uint32(b[:]); n != 0 {
 			return n
 		}
 	}
-	return uint32(time.Now().UnixNano())&airproto.NonceMask | 1
+	return uint32(time.Now().UnixNano()) | 1
 }
 
 // NewRouter resolves the seed replicas, restores any journaled coordinator
@@ -479,15 +479,12 @@ func (r *Router) heartbeat(m *member) {
 	defer timer.Stop()
 	select {
 	case f := <-ch:
-		if f.Kind == airproto.KindHeartbeat && len(f.Data) > 0 {
-			hv := f.HealthVector()
-			m.fleetVer.Store(uint64(hv[airproto.HBFleetNonce])<<32 | uint64(hv[airproto.HBFleetSeq]))
-			// The reply may piggyback the replica's obs snapshot after the
-			// health vector (Label = blob byte length). A blob mangled in
-			// flight fails its CRC and is simply skipped — the member's last
-			// good snapshot stands until a clean one lands.
-			if f.Label > 0 && len(f.Data) > airproto.HBVectorLen {
-				blob := airproto.UnpackBytes(f.Data[airproto.HBVectorLen:], int(f.Label))
+		if seq, nonce, ok := f.FleetVersion(); ok && f.Kind == airproto.KindHeartbeat {
+			m.fleetVer.Store(uint64(nonce)<<32 | seq)
+			// The reply may piggyback the replica's obs snapshot. A blob
+			// mangled in flight fails its CRC and is simply skipped — the
+			// member's last good snapshot stands until a clean one lands.
+			if blob := f.Snapshot(); blob != nil {
 				if snap, err := obs.DecodeSnapshot(blob); err == nil {
 					m.snap.Store(&snap)
 				}
@@ -588,13 +585,12 @@ func (r *Router) maybeCatchUp(m *member) {
 }
 
 // handleJoin processes a replica's membership announcement: first contact
-// registers the member and its serving address (the datagram's source),
-// a rejoin revives an evicted or suspect member, and either way the reply
-// carries the fleet's current epoch sequence so a stale replica knows a
-// catch-up push is coming.
-func (r *Router) handleJoin(conn netchaos.PacketConn, f *airproto.Frame, from *net.UDPAddr) {
+// registers the member and its serving address (the datagram's source), a
+// rejoin revives an evicted or suspect member, and either way a replica
+// reporting a stale fleet version gets a catch-up push.
+func (r *Router) handleJoin(f *airproto.Frame, from *net.UDPAddr) {
 	name := from.String()
-	fleetSeq, _, fleetNonce := f.JoinInfo()
+	fleetSeq, fleetNonce, _ := f.FleetVersion()
 	r.mu.Lock()
 	m := r.members[name]
 	fresh := m == nil
@@ -622,9 +618,6 @@ func (r *Router) handleJoin(conn netchaos.PacketConn, f *airproto.Frame, from *n
 	}
 	if fresh {
 		r.persistState()
-	}
-	if out, err := airproto.Join(f.ID, uint64(curTid), 0, r.incar).Marshal(); err == nil {
-		conn.WriteToUDP(out, from)
 	}
 	r.maybeCatchUp(m)
 }
@@ -690,7 +683,7 @@ func (r *Router) Serve(conn netchaos.PacketConn) error {
 		}
 		switch f.Kind {
 		case airproto.KindJoin:
-			r.handleJoin(conn, f, from)
+			r.handleJoin(f, from)
 		case airproto.KindStats, airproto.KindTrace:
 			// Control-plane traffic: the router answers these itself —
 			// never shed, never counted against the inflight cap. An
@@ -849,11 +842,11 @@ func (r *Router) forward(conn netchaos.PacketConn, f *airproto.Frame, from *net.
 		hops = append(hops, hop)
 		hopOpen = append(hopOpen, hop != nil)
 		starts = append(starts, time.Now())
+		// The hop carries the router's own trace context or none, never
+		// a context the client put on its frame.
+		fwd.Trace, fwd.ParentSpan = 0, 0
 		if root != nil {
-			// Appending the context never aliases the original frame: the
-			// copy's Data shares f's full-capacity backing, so append
-			// reallocates. Refusals (oversize payload) just forward untraced.
-			airproto.AttachTraceContext(&fwd, uint64(tid), uint64(hop.ID()))
+			fwd.Trace, fwd.ParentSpan = uint64(tid), uint64(hop.ID())
 		}
 		out, err := fwd.Marshal()
 		if err != nil {

@@ -7,21 +7,18 @@ import (
 )
 
 // DefaultChunkBytes is the per-frame replication payload the coordinator
-// uses unless configured otherwise: comfortably under the airproto frame
-// cap, large enough that a typical sealed epoch ships in a handful of
-// datagrams.
-const DefaultChunkBytes = 8192
+// uses unless configured otherwise: about half a maximal datagram, large
+// enough that a typical sealed epoch ships in a handful of datagrams.
+const DefaultChunkBytes = 32 << 10
 
 // Reassembly guards: a replica holds at most maxTransfers concurrent
 // partial transfers and refuses any transfer claiming more than
-// maxTransferBytes — a malformed or hostile header must not make the
-// replica allocate unbounded buffers. The byte cap is airproto's
-// float32-exact bound (16 MiB): chunk header integers ride float32 samples
-// that are only exact below 2^24, so a larger transfer would ship rounded
-// offsets. Sealed epochs are a few MiB at most.
+// maxTransferBytes. A chunk header's total length is allocated up front,
+// so without the cap one malformed or hostile header could make a replica
+// allocate up to 4 GiB. Sealed epochs are a few MiB at most.
 const (
 	maxTransfers     = 4
-	maxTransferBytes = airproto.MaxTransferBytes
+	maxTransferBytes = 16 << 20
 )
 
 // Chunks splits one sealed checkpoint epoch into ordered KindEpochPush

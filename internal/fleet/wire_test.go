@@ -47,18 +47,25 @@ func TestChunksRoundTripInOrder(t *testing.T) {
 func TestChunksSurviveWire(t *testing.T) {
 	// Every chunk must fit an airproto datagram and round-trip through
 	// Marshal/Unmarshal — the reassembler sees wire frames, not originals.
-	sealed := testSealed(3_000, 2)
+	// The epoch is the size of the default mnist deployment's: at the
+	// default chunk size it ships in 6 datagrams, within 1% of its bytes.
+	sealed := testSealed(179_045, 2)
 	frames, err := Chunks(9, airproto.PushCanary, sealed, 0, 0xa1) // default chunking
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(frames) != 6 {
+		t.Fatalf("%d chunks at the default size, want 6", len(frames))
+	}
 	ra := NewReassembler()
 	var got []byte
+	wire := 0
 	for _, f := range frames {
 		b, err := f.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
+		wire += len(b)
 		wf, err := airproto.Unmarshal(b)
 		if err != nil {
 			t.Fatal(err)
@@ -71,6 +78,9 @@ func TestChunksSurviveWire(t *testing.T) {
 	}
 	if !bytes.Equal(got, sealed) {
 		t.Fatal("wire round trip corrupted the epoch")
+	}
+	if wire > len(sealed)+len(sealed)/100 {
+		t.Fatalf("%d-byte epoch crossed as %d wire bytes", len(sealed), wire)
 	}
 }
 
@@ -154,5 +164,25 @@ func TestChunksRejectsEmptyAndOversized(t *testing.T) {
 	}
 	if _, err := Chunks(1, airproto.PushCommit, make([]byte, maxTransferBytes+1), 100, 0); err == nil {
 		t.Fatal("oversized epoch chunked")
+	}
+}
+
+// TestReassemblerRejectsOverCapTotal pins the receive-side allocation cap.
+// The chunk digest detects corruption, not forgery: a well-formed chunk
+// whose header claims a transfer past maxTransferBytes (up to 4 GiB in the
+// 32-bit field) must be refused before anything is allocated for it.
+func TestReassemblerRejectsOverCapTotal(t *testing.T) {
+	for _, totalLen := range []int{maxTransferBytes + 1, 1<<32 - 1} {
+		f, err := airproto.EpochChunk(1, airproto.PushCommit, 0, 2, []byte{1}, 0, totalLen, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra := NewReassembler()
+		if _, _, _, err := ra.Add(f); err == nil {
+			t.Errorf("chunk claiming a %d-byte transfer accepted", totalLen)
+		}
+		if len(ra.m) != 0 {
+			t.Errorf("chunk claiming a %d-byte transfer opened a transfer", totalLen)
+		}
 	}
 }
