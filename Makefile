@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test e2echeck race vet fmt fuzz ckptfuzz faultgate recovergate obsgate benchgate tracegate stitchgate cascadegate fleetbench fleetgate chaossoak chaosgate check bench
+.PHONY: build test e2echeck race vet fmt benchsmoke fuzz ckptfuzz faultgate recovergate obsgate benchgate tracegate stitchgate cascadegate fleetbench fleetgate chaossoak chaosgate check bench
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ fmt:
 
 race:
 	$(GO) test -race ./...
+
+# benchsmoke runs every Go micro-benchmark under internal/ and cmd/ once, so
+# a benchmark that panics or no longer builds fails CI. The root package's
+# experiment benchmarks (about 33 s) are left to `make bench`.
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/... ./cmd/...
 
 # fuzz smokes the wire-protocol decoder for 10s beyond its seeded corpus.
 fuzz:
@@ -140,12 +146,13 @@ chaosgate:
 
 # check is the full gate: vet (amd64 and arm64), gofmt, plain tests, the
 # benchmark module's vet and tests, the race detector over the concurrent
-# evaluator, sweeps, and serve paths, the airproto and checkpoint fuzz
+# evaluator, sweeps, and serve paths, one run of each micro-benchmark, the
+# airproto and checkpoint fuzz
 # smokes, the abl-faults zero-rate identity gate, the crash-recovery gate,
 # the cascade K=1 compatibility gate, the fleet failover/replication smoke,
 # the bad-network chaos soak smoke, and the obs/bench/trace/stitch
 # determinism gates.
-check: vet fmt test e2echeck race fuzz ckptfuzz faultgate recovergate cascadegate fleetgate chaosgate obsgate benchgate tracegate stitchgate
+check: vet fmt test e2echeck race benchsmoke fuzz ckptfuzz faultgate recovergate cascadegate fleetgate chaosgate obsgate benchgate tracegate stitchgate
 
 # bench runs the Go micro-benchmarks, then the serve-path observability
 # benchmark, which snapshots its metrics into BENCH_serve.json. Emit-only:

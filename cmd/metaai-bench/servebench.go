@@ -6,10 +6,9 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cplx"
 	"repro/internal/obs"
-	"repro/internal/ota"
-	"repro/internal/rng"
 )
 
 // serveBatchSize is the sweep width of the batched-inference tier — the
@@ -23,89 +22,64 @@ type serveBenchOut struct {
 	single, batch, cascade time.Duration
 }
 
-// serveBenchRun deploys a small random-weight over-the-air system, enables
-// observability, and replays n inferences through one session — then the
-// same n through the batched zero-alloc path (AccumulateBatch sweeps of
-// serveBatchSize, magnitudes via AbsInto scratch, mirroring the serve
-// worker's steady state), then the sequential workload through a 2-layer
-// stacked cascade. The whole run is a pure function of (n, seed) except for
-// wall-clock durations, so the snapshot's Fingerprint (counters, gauges,
-// histogram counts) is deterministic — the CI gate asserts exactly that.
-// Measured fleet and overload numbers come from the e2ebench harness, which
-// drives the shipped binaries over loopback sockets.
+// serveBenchRun enables observability, builds the shipped deployment —
+// core.DefaultConfig("mnist") with its CDFA clock-sync sampler, seeded
+// with seed (seed 1 is exactly what a metaai-serve replica serves at
+// default flags) — and replays n encoded test samples through one session,
+// then the same n in AccumulateBatch sweeps of serveBatchSize over reused
+// accumulators and magnitude scratch, then the sequential workload through
+// the same model deployed as a 2-layer cascade. The whole run is a pure
+// function of (n, seed) except for wall-clock durations, so the snapshot's
+// Fingerprint (counters, gauges, histogram counts) is deterministic — the
+// CI gate asserts exactly that. Measured fleet and overload numbers come
+// from the e2ebench harness, which drives the shipped binaries over
+// loopback sockets.
 func serveBenchRun(n int, seed uint64) (serveBenchOut, error) {
 	obs.SetEnabled(true)
 	obs.Default().Reset()
-	src := rng.New(seed)
-	w := cplx.NewMat(4, 16)
-	wsrc := rng.New(seed ^ 0x7)
-	for i := range w.Data {
-		w.Data[i] = cplx.Expi(wsrc.Phase()) * complex(0.5+wsrc.Float64(), 0)
-	}
-	d, err := ota.NewDeployment(w, ota.NewOptions(src.Split()), src)
+	cfg := core.DefaultConfig("mnist")
+	cfg.Seed = seed
+	p, err := core.New(cfg)
 	if err != nil {
 		return serveBenchOut{}, err
 	}
-	sess := d.NewSession(src.Split())
-	x := make([]complex128, d.InputLen())
-	for i := range x {
-		x[i] = cplx.Expi(src.Phase())
-	}
+	xs := p.Test.X
+	sess := p.Deployment().SessionFromSeed(seed)
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		sess.Logits(x)
+		sess.Logits(xs[i%len(xs)])
 	}
 	elapsed := time.Since(start)
 
-	// Batched hot path: n inferences in AccumulateBatch sweeps over reused
-	// accumulators and magnitude scratch — what a serve worker does per
-	// wakeup under load — on a static-channel epoch (compensated
-	// quasi-static environment, no jitter, no sync sampler), where the
-	// deployment's cached flat response rows turn the inner loop into a
-	// fused multiply-add.
-	srcB := rng.New(seed ^ 0xba7c)
-	optsB := ota.NewOptions(srcB.Split())
-	optsB.SubSamples = 0
-	optsB.JitterStd = 0
-	optsB.CompensateEnv = true
-	db, err := ota.NewDeployment(w, optsB, srcB)
-	if err != nil {
-		return serveBenchOut{}, err
-	}
-	sessB := db.NewSession(srcB.Split())
-	xs := make([][]complex128, serveBatchSize)
+	// Batched tier: n inferences in AccumulateBatch sweeps — one worker
+	// wakeup's drain under load.
+	sessB := p.Deployment().SessionFromSeed(seed ^ 0xba7c)
+	sweep := make([][]complex128, serveBatchSize)
 	accs := make([]cplx.Vec, serveBatchSize)
-	for i := range xs {
-		xs[i] = x
-		accs[i] = make(cplx.Vec, db.Classes())
-	}
 	var mags []float64
 	startB := time.Now()
 	for done := 0; done < n; done += serveBatchSize {
-		sweep := xs
-		if rem := n - done; rem < serveBatchSize {
-			sweep = xs[:rem]
+		k := min(serveBatchSize, n-done)
+		for b := 0; b < k; b++ {
+			sweep[b] = xs[(done+b)%len(xs)]
 		}
-		out := sessB.AccumulateBatch(sweep, accs)
-		for _, acc := range out {
+		for _, acc := range sessB.AccumulateBatch(sweep[:k], accs) {
 			mags = cplx.AbsInto(mags, acc)
 		}
 	}
 	elapsedB := time.Since(startB)
 
-	// Cascade hot path: the same weights behind a 2-layer stack.
-	srcC := rng.New(seed ^ 0xca5c)
-	optsC := ota.NewOptions(srcC.Split())
-	optsC.Stack = ota.DefaultStack(1, srcC.Split())
-	optsC.HopNoise = ota.DefaultHopNoise
-	dc, err := ota.NewDeployment(w, optsC, srcC)
+	// Cascade tier: the same trained model behind a 2-layer stack.
+	cfgC := cfg
+	cfgC.Layers = 2
+	pc, err := core.NewFromModel(p.Train, p.Test, p.Model, cfgC)
 	if err != nil {
 		return serveBenchOut{}, err
 	}
-	sessC := dc.NewSession(srcC.Split())
+	sessC := pc.Deployment().SessionFromSeed(seed ^ 0xca5c)
 	startC := time.Now()
 	for i := 0; i < n; i++ {
-		sessC.Logits(x)
+		sessC.Logits(xs[i%len(xs)])
 	}
 	elapsedC := time.Since(startC)
 

@@ -33,8 +33,8 @@ func TestServeBenchDeterministicFingerprint(t *testing.T) {
 	if !reflect.DeepEqual(fpA, fpB) {
 		t.Fatalf("seeded runs diverged:\nrun A: %v\nrun B: %v", fpA, fpB)
 	}
-	// 50 through the single surface + 50 through the batched static-channel
-	// tier + 50 through the 2-layer cascade.
+	// 50 through the single surface + 50 through the batched tier + 50
+	// through the 2-layer cascade.
 	if fpA["counter:ota.inferences"] != 150 {
 		t.Fatalf("ota.inferences = %d, want 150", fpA["counter:ota.inferences"])
 	}

@@ -58,7 +58,8 @@ func (r *fleetReplica) stop() {
 
 // join announces the replica to the router from its SERVING socket, exactly
 // like metaai-serve -join: the router learns the data-path address from the
-// datagram's source. The reply is consumed by the replica's own fleet agent.
+// datagram's source. The router sends no reply; the join carries the
+// replica's fleet version, so anti-entropy catches it up.
 func (r *fleetReplica) join(front *net.UDPAddr) {
 	fleetSeq, fleetNonce := r.srv.fleetAgent.FleetVersion()
 	f := airproto.Join(1, fleetSeq, fleetNonce)

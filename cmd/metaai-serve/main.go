@@ -105,7 +105,7 @@ func main() {
 		layers    = flag.Int("layers", 1, "stacked metasurface layers for a cold start (1 = classic single surface; a recovered journal epoch keeps its own layer count)")
 		probe     = flag.String("probe", "", "act as a client: send one test sample to this address and exit")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent inference sessions (min 1)")
-		batch     = flag.Int("batch", 1, "max pending requests one worker drains and accumulates per wakeup (min 1; 1 = classic per-request path, outputs bit-identical at any setting)")
+		batch     = flag.Int("batch", 1, "max pending requests one worker drains from the queue per wakeup (min 1); each is still inferred and answered on its own, so outputs are bit-identical at any setting")
 		timeout   = flag.Duration("timeout", 5*time.Second, "probe per-attempt response timeout")
 		budget    = flag.Duration("budget", 0, "probe overall deadline per exchange across all retry attempts and backoffs (0 disables)")
 		joinAddr  = flag.String("join", "", "announce this replica to a metaai-fleet router at this address and accept replicated epochs")

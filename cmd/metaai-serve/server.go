@@ -50,11 +50,10 @@ type serverConfig struct {
 	monitor *mobility.Monitor
 	// workers is the number of inference goroutines (min 1).
 	workers int
-	// batch is the most pending requests one worker drains per wakeup and
-	// accumulates as a single Session.AccumulateBatch sweep (min 1). Batch 1
-	// is exactly the classic per-request path; larger batches amortize the
-	// per-inference bookkeeping while keeping accumulator bits identical to
-	// sequential processing.
+	// batch is the most pending requests one worker drains from the queue
+	// per wakeup (min 1). Each drained request is still inferred and
+	// answered on its own, in dequeue order, so replies are bit-identical
+	// at any setting.
 	batch int
 	// queue bounds in-flight requests; a full queue sheds load with a
 	// StatusDegraded NACK instead of blocking the read loop. Defaults to
@@ -681,15 +680,12 @@ type udpWriter interface {
 }
 
 // workerScratch bundles one worker's reusable buffers: the drained batch,
-// the validated run and its input views, the per-request accumulators, the
-// magnitude scratch the monitor consumes, and the reply frame plus marshal
-// buffer. Everything is reused across wakeups, so a steady-state worker
-// loop allocates nothing.
+// the accumulator, the magnitude scratch the monitor consumes, and the
+// reply frame plus marshal buffer. Everything is reused across requests,
+// so a steady-state worker loop allocates nothing.
 type workerScratch struct {
 	batch []request
-	run   []request
-	xs    [][]complex128
-	accs  []cplx.Vec
+	acc   cplx.Vec
 	mags  []float64
 	out   []byte
 	resp  airproto.Frame
@@ -700,12 +696,8 @@ type workerScratch struct {
 var scratchPool = sync.Pool{New: func() interface{} { return new(workerScratch) }}
 
 // worker consumes requests on its own per-epoch session, draining up to
-// cfg.batch pending requests per wakeup from the bounded queue — the
-// natural batching point: under light load every batch has size 1 (latency
-// unchanged), and under pressure the queue's depth becomes batched sweeps.
-// The epoch pointer is resolved per batch, so a heal takes effect on the
-// next dequeue; sessions are indexed by worker, so no session is ever
-// shared.
+// cfg.batch pending requests per wakeup from the bounded queue. Sessions
+// are indexed by worker, so no session is ever shared.
 func (s *airServer) worker(conn udpWriter, w int, reqs <-chan request) {
 	sc := scratchPool.Get().(*workerScratch)
 	defer scratchPool.Put(sc)
@@ -729,32 +721,22 @@ func (s *airServer) worker(conn udpWriter, w int, reqs <-chan request) {
 	}
 }
 
-// processBatch runs one drained batch through worker w's session and writes
-// the replies. Requests are accumulated strictly in dequeue order on the
-// session's single random stream, so a batch of n produces bit-identical
-// accumulators to n sequential single-request wakeups.
+// processBatch serves one drained batch through worker w's session: each
+// request in dequeue order is checked, inferred under its own span and
+// answered before the next starts. Requests run in order on the session's
+// single random stream, so the replies are bit-identical to one request
+// per wakeup.
 func (s *airServer) processBatch(conn udpWriter, w int, sc *workerScratch) {
-	if s.cfg.preInfer != nil {
-		for range sc.batch {
+	for _, r := range sc.batch {
+		if s.cfg.preInfer != nil {
 			s.cfg.preInfer()
 		}
-	}
-	ep := s.cur.Load()
-	u := ep.d.InputLen()
-	// Re-validate the symbol count against the epoch resolved NOW: the read
-	// loop validated against the epoch at enqueue time, and a hot swap that
-	// changes U between enqueue and dequeue would otherwise panic the
-	// session (killing the worker and silently dropping everything queued
-	// behind the request). A swapped-out length gets the same explicit
-	// StatusWrongLen the read loop sends.
-	sc.run = sc.run[:0]
-	sc.xs = sc.xs[:0]
-	for _, r := range sc.batch {
-		// Deadline check at dequeue, batch drain included: a request whose
-		// budget ran out while it sat in the queue (or crossed the wire) is
-		// answered with StatusExpired before any inference is spent on it —
-		// the goal-oriented drop. Requests without a deadline skip the clock
-		// read entirely, keeping the steady-state loop allocation-free.
+		// Deadline check at dequeue: a request whose budget ran out while
+		// it sat in the queue, crossed the wire or waited behind earlier
+		// requests of its batch is answered with StatusExpired before any
+		// inference is spent on it — the goal-oriented drop. Requests
+		// without a deadline skip the clock read entirely, keeping the
+		// steady-state loop allocation-free.
 		if !r.expires.IsZero() {
 			if now := time.Now(); now.After(r.expires) {
 				s.expired.Add(1)
@@ -765,57 +747,34 @@ func (s *airServer) processBatch(conn udpWriter, w int, sc *workerScratch) {
 				continue
 			}
 		}
-		if len(r.frame.Data) != u {
+		// Re-validate the symbol count against the epoch resolved NOW: the
+		// read loop validated against the epoch at enqueue time, and a hot
+		// swap that changes U between enqueue and dequeue would otherwise
+		// panic the session (killing the worker and silently dropping
+		// everything queued behind the request). A swapped-out length gets
+		// the same explicit StatusWrongLen the read loop sends.
+		ep := s.cur.Load()
+		if u := ep.d.InputLen(); len(r.frame.Data) != u {
 			s.cfg.logf("frame %d: %d symbols, deployed for U=%d after epoch swap", r.frame.ID, len(r.frame.Data), u)
 			s.nack(conn, r.from, airproto.Nack(r.frame.ID, airproto.StatusWrongLen, int32(u)))
 			r.span.SetStr("outcome", "nack_wrong_len")
 			r.span.Finish(trace.FlagNack)
 			continue
 		}
-		sc.run = append(sc.run, r)
-		sc.xs = append(sc.xs, r.frame.Data)
-	}
-	bsz := len(sc.run)
-	if bsz == 0 {
-		return
-	}
-	classes := ep.d.Classes()
-	if cap(sc.accs) < bsz {
-		grown := make([]cplx.Vec, bsz)
-		copy(grown, sc.accs[:cap(sc.accs)])
-		sc.accs = grown
-	}
-	sc.accs = sc.accs[:bsz]
-	for b := range sc.accs {
-		if len(sc.accs[b]) != classes {
-			sc.accs[b] = make(cplx.Vec, classes)
+		if classes := ep.d.Classes(); len(sc.acc) != classes {
+			sc.acc = make(cplx.Vec, classes)
 		}
-	}
-	sess := ep.sessions[w]
-	if bsz == 1 {
-		// Single request: the classic path, span-parented per request —
-		// bit-identical to pre-batching serving in spans as well as bits.
-		r := sc.run[0]
 		r.span.SetNum("worker", float64(w))
-		r.span.SetNum("batch", 1)
+		r.span.SetNum("batch", float64(len(sc.batch)))
+		sess := ep.sessions[w]
 		sess.SetSpan(r.span)
-		sess.AccumulateInto(r.frame.Data, sc.accs[0])
+		sess.AccumulateInto(r.frame.Data, sc.acc)
 		sess.SetSpan(nil)
-	} else {
-		sess.AccumulateBatch(sc.xs, sc.accs)
-	}
-	mon := s.cfg.monitor
-	for b, r := range sc.run {
-		acc := sc.accs[b]
-		if mon != nil {
-			sc.mags = cplx.AbsInto(sc.mags, acc)
+		if mon := s.cfg.monitor; mon != nil {
+			sc.mags = cplx.AbsInto(sc.mags, sc.acc)
 			mon.Observe(sc.mags)
 		}
-		if bsz > 1 {
-			r.span.SetNum("worker", float64(w))
-			r.span.SetNum("batch", float64(bsz))
-		}
-		sc.resp = airproto.Frame{ID: r.frame.ID, Label: r.frame.Label, Data: acc}
+		sc.resp = airproto.Frame{ID: r.frame.ID, Label: r.frame.Label, Data: sc.acc}
 		out, err := sc.resp.MarshalAppend(sc.out[:0])
 		if err != nil {
 			s.cfg.logf("frame %d: %v", r.frame.ID, err)

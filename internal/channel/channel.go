@@ -200,16 +200,6 @@ func Default() Params {
 // Wavelength returns the carrier wavelength in meters.
 func (p Params) Wavelength() float64 { return SpeedOfLight / (p.FreqGHz * 1e9) }
 
-// StaticMTSPath reports whether the MTS-path scale is constant across the
-// symbols of one transmission: no Doppler phase ramp and no interferer that
-// can shadow the MTS-Rx path (region R4). Off-path interferers (R1–R3) only
-// re-randomize the environmental scatter and leave the MTS path static.
-// Deployment-side response caches are valid only under this predicate.
-func (p Params) StaticMTSPath() bool {
-	_, blockProb, _ := p.Interf.scatterDrift()
-	return p.DopplerHz == 0 && blockProb == 0
-}
-
 // wallLossDB is the penetration loss per interior wall at sub-6 GHz.
 const wallLossDB = 5.0
 
@@ -470,20 +460,6 @@ func (r *Realization) Step(sym int) (env, scale complex128) {
 	}
 	return r.cur, scale
 }
-
-// ScatterSD returns the hoisted per-component standard deviation of the
-// per-symbol scatter draw — what Step draws with — for hot loops that
-// inline the scatter draw when the MTS path is static.
-func (r *Realization) ScatterSD() float64 { return r.scatterSD }
-
-// DriftSD returns the hoisted per-component standard deviation of the
-// interferer drift draw, zero when no off-path interferer is configured.
-// HasDrift gates whether the draw happens at all.
-func (r *Realization) DriftSD() float64 { return r.driftSD }
-
-// HasDrift reports whether Step draws a second, interferer-drift scatter
-// sample per symbol.
-func (r *Realization) HasDrift() bool { return r.drift > 0 }
 
 // Noise returns one complex receiver-noise sample for a unit-power MTS-path
 // signal.

@@ -192,21 +192,6 @@ func (t Timer) ObserveInto(h *Histogram) {
 	h.Observe(time.Since(t.start).Seconds())
 }
 
-// ObserveMeanInto records the elapsed seconds split evenly across n
-// observations — elapsed/n, recorded n times — so a batched code path emits
-// the same observation count and a comparable per-item latency series as n
-// individually timed items would. A zero Timer, nil histogram, or n < 1 is
-// a no-op.
-func (t Timer) ObserveMeanInto(h *Histogram, n int) {
-	if t.start.IsZero() || h == nil || n < 1 {
-		return
-	}
-	v := time.Since(t.start).Seconds() / float64(n)
-	for i := 0; i < n; i++ {
-		h.Observe(v)
-	}
-}
-
 // Registry holds named metrics. Registration memoizes by name, so any
 // package may re-request a handle; instrumented code holds the returned
 // pointers and never pays a map lookup on the hot path.

@@ -172,17 +172,6 @@ type Deployment struct {
 	noise2     float64 // per-sample receiver-noise variance (derived)
 	noiseSD    float64 // sqrt(noise2/2), hoisted for the per-symbol sampler
 
-	// staticResp caches the composed per-class effective response rows
-	// H_mts(r,i)·e^{jφ_cal} as one flat row-major slice when the epoch's
-	// channel is provably static per symbol slot (staticOK): compensated
-	// quasi-static env, no SyncSampler, zero JitterStd, no Doppler, no
-	// path-blocking interferer. Under those conditions the session inner
-	// loop reduces to a straight multiply-add over this slice, bit-identical
-	// to the general path. Rebuilt by refreshDerived on every mutation that
-	// touches Realized.
-	staticResp []complex128
-	staticOK   bool
-
 	compensate  bool
 	envBase     complex128 // calibrated quasi-static environment (Eqn 8)
 	calMTSPhase complex128 // calibrated MTS-path phase (coherent reference)
@@ -373,32 +362,6 @@ func (d *Deployment) refreshDerived(geom mts.Geometry) {
 	}
 	d.noise2 = noise2
 	d.noiseSD = math.Sqrt(noise2 / 2)
-	d.refreshStaticCache()
-}
-
-// refreshStaticCache rebuilds the static-channel response cache. The cache
-// is valid only when every per-symbol factor of the effective response is a
-// deployment constant: the Eqn 8 compensated regime pins the MTS-path phase
-// to the calibrated e^{jφ_cal} (a fresh random phase otherwise — uncacheable),
-// no SyncSampler means offset 0, zero JitterStd removes the per-symbol jitter
-// perturbation, and a Doppler- and blockage-free channel keeps the MTS scale
-// off the per-symbol path. Each cached entry is Realized(r,i)·calMTSPhase —
-// the same two operands the general path multiplies — so using the cache is
-// bit-identical wherever it is legal.
-func (d *Deployment) refreshStaticCache() {
-	d.staticOK = d.compensate &&
-		d.opts.SyncSampler == nil &&
-		d.opts.JitterStd == 0 &&
-		d.opts.Channel.StaticMTSPath()
-	if !d.staticOK {
-		d.staticResp = nil
-		return
-	}
-	flat := make([]complex128, len(d.Realized.Data))
-	for i, h := range d.Realized.Data {
-		flat[i] = h * d.calMTSPhase
-	}
-	d.staticResp = flat
 }
 
 // Classes returns the number of output categories.

@@ -30,6 +30,9 @@ type Session struct {
 	// AccumulateInto allocates nothing.
 	chSrc *rng.Source
 	rz    channel.Realization
+	// row holds the played response row of a shifted transmission (see
+	// played), sized U on first use.
+	row []complex128
 }
 
 // FaultHook intercepts a Session's per-symbol physics to inject discrete
@@ -109,64 +112,37 @@ func (s *Session) AccumulateInto(x []complex128, dst cplx.Vec) cplx.Vec {
 	return dst
 }
 
-// AccumulateBatch runs one inference per input of xs into dst, amortizing
-// the per-call bookkeeping — timer, counters, span construction — across
-// the batch. Requests are replayed strictly in order on the session's
-// single random stream, so the accumulators are bit-identical to len(xs)
-// sequential AccumulateInto calls for any batch size; the speedup comes
-// from hoisted overhead and the session's reused realization scratch, not
-// from reusing draws across requests. dst is grown as needed (entries with
-// the right length are reused in place) and returned as dst[:len(xs)].
+// AccumulateBatch runs one inference per input of xs into dst, in order:
+// exactly len(xs) sequential AccumulateInto calls, so the accumulators are
+// bit-identical to them at any batch size. dst is grown as needed (entries
+// with the right length are reused in place) and returned as dst[:len(xs)].
 func (s *Session) AccumulateBatch(xs [][]complex128, dst []cplx.Vec) []cplx.Vec {
-	d := s.d
 	n := len(xs)
-	for b, x := range xs {
-		if len(x) != d.u {
-			panic(fmt.Sprintf("ota: batch input %d length %d, deployed for U=%d", b, len(x), d.u))
-		}
-	}
 	if cap(dst) < n {
 		grown := make([]cplx.Vec, n)
 		copy(grown, dst[:cap(dst)])
 		dst = grown
 	}
 	dst = dst[:n]
-	if n == 0 {
-		return dst
-	}
-	t := obs.StartTimer()
-	otaInferences.Add(int64(n))
-	otaTransmissions.Add(int64(n) * int64(d.classes))
-	otaSymbols.Add(int64(n) * int64(d.classes) * int64(d.u))
-	asp := s.span.Child("ota.accumulate")
-	asp.SetNum("classes", float64(d.classes))
-	asp.SetNum("u", float64(d.u))
-	asp.SetNum("batch", float64(n))
-	if k := len(d.opts.Stack); k > 0 {
-		asp.SetNum("layers", float64(k+1))
-	}
 	for b, x := range xs {
-		if len(dst[b]) != d.classes {
-			dst[b] = make(cplx.Vec, d.classes)
+		if len(dst[b]) != s.d.classes {
+			dst[b] = make(cplx.Vec, s.d.classes)
 		}
-		s.accumulate(x, dst[b], asp)
+		s.AccumulateInto(x, dst[b])
 	}
-	asp.End()
-	// One histogram observation per request at the per-request mean keeps
-	// the ota.infer.seconds series count- and scale-comparable with the
-	// unbatched path.
-	t.ObserveMeanInto(otaInferSeconds, n)
 	return dst
 }
 
-// accumulate is the shared physics core: one full inference into dst, with
-// per-class replay spans hung under asp when tracing is live. Each class
-// replay re-seeds the session's scratch channel source and realization in
-// place — draw-for-draw what freshly split/allocated ones would consume —
-// then dispatches to the fast replay loop when no per-symbol overhead is
-// required, or to the general loop otherwise.
+// accumulate is AccumulateInto's physics core: one full inference into
+// dst, with per-class replay spans hung under asp when tracing is live.
+// Each class replay re-seeds the session's scratch channel source and
+// realization in place — draw-for-draw what freshly split/allocated ones
+// would consume — resolves the transmission's clock offset once
+// (newShift), then dispatches to the fast replay loops unless a fault hook
+// or exact jitter needs the general loop.
 func (s *Session) accumulate(x []complex128, dst cplx.Vec, asp *trace.Span) {
 	d := s.d
+	exact := d.opts.ExactJitter && d.opts.JitterStd > 0
 	for r := 0; r < d.classes; r++ {
 		var rsp *trace.Span
 		if asp != nil {
@@ -190,11 +166,12 @@ func (s *Session) accumulate(x []complex128, dst cplx.Vec, asp *trace.Span) {
 		if d.opts.SyncSampler != nil {
 			offset = d.opts.SyncSampler(s.src)
 		}
+		sh := newShift(offset, d.u)
 		var sum complex128
-		if s.hook == nil && offset == 0 && !(d.opts.ExactJitter && d.opts.JitterStd > 0) {
-			sum = s.fastReplay(r, x, rz)
+		if s.hook == nil && !exact {
+			sum = s.fastReplay(x, s.played(r, sh), rz)
 		} else {
-			sum = s.slowReplay(r, x, rz, offset)
+			sum = s.replay(r, x, rz, sh, exact)
 		}
 		dst[r] = sum
 		if rsp != nil {
@@ -205,22 +182,82 @@ func (s *Session) accumulate(x []complex128, dst cplx.Vec, asp *trace.Span) {
 	}
 }
 
-// fastReplay is the per-symbol loop for the common perfectly synchronized,
-// unhooked case (offset 0, no exact jitter): the schedule row is read by
-// direct index — no Floor, no modulo — per-symbol channel state comes from
-// one fused Realization.Step call, and noise/jitter draws use the hoisted
-// standard deviations. When the deployment's static-channel cache is valid
-// (staticOK), the composed response row is a precomputed flat slice and the
-// loop is a straight multiply-add. Every variant consumes the session and
-// realization streams in the general path's per-source order and keeps its
-// exact floating-point grouping, so accumulators are bit-identical to
-// slowReplay's.
-func (s *Session) fastReplay(r int, x []complex128, rz *channel.Realization) complex128 {
+// blendEps is the smallest fractional clock offset that blends two
+// adjacent schedule slots; below it the offset counts as whole symbols.
+const blendEps = 1e-9
+
+// shift is one transmission's schedule/data clock offset (in symbols)
+// resolved against a U-slot schedule: data symbol i meets slot
+// (start+i) mod U and, when blend is set, the slot before it too, the two
+// weighted by their time overlap w0 = 1−frac and w1 = frac.
+type shift struct {
+	start  int
+	blend  bool
+	w0, w1 complex128
+}
+
+// newShift resolves offset once per transmission — the floor, fraction,
+// blend weights and starting slot — so no replay loop takes a Floor or a
+// modulo per symbol.
+func newShift(offset float64, u int) shift {
+	base := math.Floor(offset)
+	frac := offset - base
+	sh := shift{start: wrapIdx(-int(base), u)}
+	if frac >= blendEps {
+		sh.blend = true
+		sh.w0, sh.w1 = complex(1-frac, 0), complex(frac, 0)
+	}
+	return sh
+}
+
+// wrapIdx reduces k into [0, n) with Euclidean wrap-around.
+func wrapIdx(k, n int) int {
+	return ((k % n) + n) % n
+}
+
+// played returns output r's realized response row as the data stream meets
+// it under sh: entry i is Realized(r, (start+i) mod U), blended with the
+// slot before it when sh.blend is set. An unshifted transmission (offset 0
+// included) plays the realized row itself; any other goes into the
+// session's row scratch, allocated once.
+func (s *Session) played(r int, sh shift) []complex128 {
+	d := s.d
+	realized := d.Realized.Data[r*d.u : (r+1)*d.u]
+	if sh.start == 0 && !sh.blend {
+		return realized
+	}
+	if s.row == nil {
+		s.row = make([]complex128, d.u)
+	}
+	row := s.row
+	if !sh.blend {
+		n := copy(row, realized[sh.start:])
+		copy(row[n:], realized[:sh.start])
+		return row
+	}
+	i0, i1 := sh.start, wrapIdx(sh.start-1, d.u)
+	for i := range row {
+		row[i] = realized[i0]*sh.w0 + realized[i1]*sh.w1
+		i1 = i0
+		if i0++; i0 == d.u {
+			i0 = 0
+		}
+	}
+	return row
+}
+
+// fastReplay is the per-symbol loop for every unhooked transmission with
+// closed-form jitter, whatever its clock offset: row is the played response
+// row, per-symbol channel state comes from one fused Realization.Step call,
+// and noise/jitter draws use the hoisted standard deviations. Each variant
+// keeps the general loop's per-source draw order and floating-point
+// grouping, so the accumulators are bit-identical to it.
+func (s *Session) fastReplay(x, row []complex128, rz *channel.Realization) complex128 {
 	d := s.d
 	noiseSD := d.noiseSD
+	row = row[:len(x)] // lets the compiler drop the per-symbol bounds checks
 	var sum complex128
 	if d.opts.SubSamples > 0 {
-		row := d.Realized.Data[r*d.u : (r+1)*d.u]
 		if d.opts.JitterStd > 0 {
 			jatt, jsd := complex(d.jitterAtt, 0), d.jitterSD
 			for i, xi := range x {
@@ -237,34 +274,6 @@ func (s *Session) fastReplay(r int, x []complex128, rz *channel.Realization) com
 		return sum
 	}
 	envScale := complex(d.envScale, 0)
-	if d.staticOK {
-		// Static-channel epoch: the cached row already carries the pinned
-		// calibrated MTS phase, so only the environmental term and noise
-		// remain per symbol. staticOK guarantees no Doppler ramp and no
-		// blockage Bernoulli, so the per-symbol channel state is exactly the
-		// scatter draw(s) — inlined here with Step's draw order and
-		// floating-point grouping, leaving a straight multiply-add loop.
-		row := d.staticResp[r*d.u : (r+1)*d.u]
-		base := rz.Base()
-		scatSD := rz.ScatterSD()
-		ch, ns := s.chSrc, s.src
-		if rz.HasDrift() {
-			driftSD := rz.DriftSD()
-			for i, xi := range x {
-				scatter := ch.ComplexNormalSD(scatSD)
-				scatter += ch.ComplexNormalSD(driftSD)
-				env := base + scatter
-				sum += (row[i]+env*envScale)*xi + ns.ComplexNormalSD(noiseSD)
-			}
-		} else {
-			for i, xi := range x {
-				env := base + ch.ComplexNormalSD(scatSD)
-				sum += (row[i]+env*envScale)*xi + ns.ComplexNormalSD(noiseSD)
-			}
-		}
-		return sum
-	}
-	row := d.Realized.Data[r*d.u : (r+1)*d.u]
 	if d.opts.JitterStd > 0 {
 		jatt, jsd := complex(d.jitterAtt, 0), d.jitterSD
 		for i, xi := range x {
@@ -281,15 +290,43 @@ func (s *Session) fastReplay(r int, x []complex128, rz *channel.Realization) com
 	return sum
 }
 
-// slowReplay is the general per-symbol loop: fault hooks, clock offsets,
-// and exact jitter all route here. It is the seed implementation verbatim.
-func (s *Session) slowReplay(r int, x []complex128, rz *channel.Realization, offset float64) complex128 {
+// replay is the general per-symbol loop, for fault hooks and exact jitter.
+// On the session source it draws the jitter (or the atom-by-atom exact
+// jitter of the two hoisted slots), then lets the hook perturb the term,
+// then draws receiver noise; scatter stays on the channel source. With
+// closed-form jitter it reads the played row, as fastReplay does.
+func (s *Session) replay(r int, x []complex128, rz *channel.Realization, sh shift, exact bool) complex128 {
 	d := s.d
-	noise2 := d.noise2
+	var row []complex128
+	if !exact {
+		row = s.played(r, sh)
+	}
+	jatt, jsd := complex(d.jitterAtt, 0), d.jitterSD
+	envScale := complex(d.envScale, 0)
+	i0, i1 := sh.start, wrapIdx(sh.start-1, d.u)
 	var sum complex128
-	for i := range x {
-		h := s.effectiveResponse(r, i, offset) * rz.MTSScaleAt(i)
-		xi := x[i]
+	for i, xi := range x {
+		var h complex128
+		if exact {
+			// Atom-by-atom jitter on the actual scheduled configuration(s) —
+			// composed per layer when a cascade is deployed.
+			h = d.exactJitterResponse(r, i0, s.src)
+			if sh.blend {
+				h1 := d.exactJitterResponse(r, i1, s.src)
+				h = h*sh.w0 + h1*sh.w1
+			}
+			i1 = i0
+			if i0++; i0 == d.u {
+				i0 = 0
+			}
+		} else {
+			h = row[i]
+			if d.opts.JitterStd > 0 {
+				h = h*jatt + s.src.ComplexNormalSD(jsd)
+			}
+		}
+		env, scale := rz.Step(i)
+		h *= scale
 		var extra complex128
 		if s.hook != nil {
 			h, xi, extra = s.hook.Symbol(r, i, h, xi)
@@ -299,68 +336,15 @@ func (s *Session) slowReplay(r int, x []complex128, rz *channel.Realization, off
 			// within-symbol environment integrates to zero, the MTS path
 			// adds coherently, and the combined noise keeps the
 			// single-sample variance (chip noise is wider-band).
-			sum += h*xi + s.src.ComplexNormal(noise2)
+			sum += h*xi + s.src.ComplexNormalSD(d.noiseSD)
 		} else {
-			env := rz.EnvAt(i) * complex(d.envScale, 0)
-			sum += (h+env)*xi + s.src.ComplexNormal(noise2)
+			sum += (h+env*envScale)*xi + s.src.ComplexNormalSD(d.noiseSD)
 		}
 		if extra != 0 {
 			sum += extra
 		}
 	}
 	return sum
-}
-
-// wrapIdx reduces k into [0, n) with Euclidean wrap-around — the schedule
-// index under a clock offset. A plain function (not a closure) keeps the
-// offset path allocation-free.
-func wrapIdx(k, n int) int {
-	return ((k % n) + n) % n
-}
-
-// effectiveResponse returns the MTS response seen by data symbol i of output
-// r under a schedule/data clock offset (in symbols): an offset with
-// fractional part f mixes the two adjacent schedule entries in proportion to
-// their time overlap, and jitter perturbs the response per reconfiguration.
-func (s *Session) effectiveResponse(r, i int, offset float64) complex128 {
-	d := s.d
-	if offset == 0 && !(d.opts.ExactJitter && d.opts.JitterStd > 0) {
-		// Perfectly synchronized: Floor(0) = 0 and the fractional blend
-		// vanishes, so the response is the directly indexed schedule entry
-		// (plus jitter). Bit-identical to the general arithmetic below at
-		// offset 0 — pinned by TestEffectiveResponseFastPathBitIdentical.
-		h := d.Realized.At(r, i)
-		if d.opts.JitterStd > 0 {
-			h = h*complex(d.jitterAtt, 0) + s.src.ComplexNormalSD(d.jitterSD)
-		}
-		return h
-	}
-	base := math.Floor(offset)
-	frac := offset - base
-	i0 := wrapIdx(i-int(base), d.u)
-	if d.opts.ExactJitter && d.opts.JitterStd > 0 {
-		// Atom-by-atom jitter on the actual scheduled configuration(s) —
-		// composed per layer when a cascade is deployed.
-		h := d.exactJitterResponse(r, i0, s.src)
-		if frac >= 1e-9 {
-			i1 := wrapIdx(i-int(base)-1, d.u)
-			h1 := d.exactJitterResponse(r, i1, s.src)
-			h = h*complex(1-frac, 0) + h1*complex(frac, 0)
-		}
-		return h
-	}
-	h0 := d.Realized.At(r, i0)
-	var h complex128
-	if frac < 1e-9 {
-		h = h0
-	} else {
-		h1 := d.Realized.At(r, wrapIdx(i-int(base)-1, d.u))
-		h = h0*complex(1-frac, 0) + h1*complex(frac, 0)
-	}
-	if d.opts.JitterStd > 0 {
-		h = h*complex(d.jitterAtt, 0) + s.src.ComplexNormalSD(d.jitterSD)
-	}
-	return h
 }
 
 // Logits returns |accumulator| per class — the y_r of Eqn 3.

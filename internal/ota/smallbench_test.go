@@ -3,13 +3,13 @@ package ota
 import (
 	"testing"
 
+	"repro/internal/clocksync"
 	"repro/internal/cplx"
 	"repro/internal/rng"
 )
 
-// smallSession builds a serve-scale (4 classes × 16 symbols) random-weight
-// deployment — the BENCH_serve workload — with the given option tweak, plus
-// one encoded input.
+// smallSession builds a small (4 classes × 16 symbols) random-weight
+// deployment with the given option tweak, plus one encoded input.
 func smallSession(b *testing.B, mod func(*Options)) (*Session, []complex128) {
 	b.Helper()
 	src := rng.New(1)
@@ -33,8 +33,8 @@ func smallSession(b *testing.B, mod func(*Options)) (*Session, []complex128) {
 	return d.NewSession(src.Split()), x
 }
 
-// Serve-scale single inference on the default impairment set via the
-// zero-alloc fast replay loop.
+// Small single inference on the default impairment set, perfectly
+// synchronized.
 func BenchmarkSmallAccumulateInto(b *testing.B) {
 	sess, x := smallSession(b, nil)
 	dst := make(cplx.Vec, sess.Deployment().Classes())
@@ -45,50 +45,17 @@ func BenchmarkSmallAccumulateInto(b *testing.B) {
 	}
 }
 
-// The same workload forced through the general replay loop (a constant
-// sync offset below the blend epsilon — physically identical clock, slow
-// arithmetic). The delta against BenchmarkSmallAccumulateInto is the
-// effectiveResponse/fastReplay fast-path gain; the bit-identity of the two
-// is pinned by TestEffectiveResponseFastPathBitIdentical.
-func BenchmarkSmallAccumulateSlowPath(b *testing.B) {
+// The same workload under the shipped CDFA clock-sync sampler: a
+// fractional offset per transmission, so every replay plays a shifted,
+// blended row — what a served request runs.
+func BenchmarkSmallAccumulateCoarseSync(b *testing.B) {
 	sess, x := smallSession(b, func(o *Options) {
-		o.SyncSampler = func(*rng.Source) float64 { return 1e-12 }
+		o.SyncSampler = clocksync.CoarseSampler(clocksync.ScaledDetector(16), 1e6)
 	})
 	dst := make(cplx.Vec, sess.Deployment().Classes())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess.AccumulateInto(x, dst)
-	}
-}
-
-// Serve-scale inference on a static-channel epoch (compensated quasi-static
-// env, no jitter): the deployment's cached flat response rows make the
-// inner loop a fused multiply-add — the batched serving tier of
-// BENCH_serve.
-func BenchmarkSmallAccumulateStatic(b *testing.B) {
-	sess, x := smallSession(b, staticComp)
-	dst := make(cplx.Vec, sess.Deployment().Classes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess.AccumulateInto(x, dst)
-	}
-}
-
-// Serve-scale batched sweep, 8 requests per wakeup on the static epoch;
-// per-op time is per batch (divide by 8 for per-inference cost).
-func BenchmarkSmallAccumulateStaticBatch8(b *testing.B) {
-	sess, x := smallSession(b, staticComp)
-	xs := make([][]complex128, 8)
-	accs := make([]cplx.Vec, 8)
-	for i := range xs {
-		xs[i] = x
-		accs[i] = make(cplx.Vec, sess.Deployment().Classes())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess.AccumulateBatch(xs, accs)
 	}
 }

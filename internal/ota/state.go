@@ -337,9 +337,5 @@ func FromState(st *DeploymentState) (*Deployment, error) {
 func (d *Deployment) WithSyncSampler(sampler func(src *rng.Source) float64) *Deployment {
 	cp := *d
 	cp.opts.SyncSampler = sampler
-	// Attaching a sampler invalidates the static-channel response cache
-	// (offsets shift the schedule per transmission); detaching one may
-	// re-enable it.
-	cp.refreshStaticCache()
 	return &cp
 }
