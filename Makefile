@@ -122,9 +122,14 @@ fleetbench:
 	$(GO) test -race -count=1 -run 'TestFleetBench' -v ./cmd/metaai-serve
 
 # fleetgate is the CI smoke of the same episode (-short trims the load) —
-# every failure mode still fires, in about two seconds.
+# every failure mode still fires, in about two seconds — plus the router's
+# forward pins under -race: failover on an explicit NACK, a hedged slow
+# primary, StatusExpired on a dead budget, StatusDegraded once every
+# replica NACKs, and exactly one answer per request when replicas reply
+# twice.
 fleetgate:
 	$(GO) test -race -count=1 -run 'TestFleetBench' -short ./cmd/metaai-serve
+	$(GO) test -race -count=1 -run 'TestForward' ./internal/fleet
 
 # chaossoak is the full bad-network acceptance soak, under -race: three
 # chaos-wrapped replicas and a chaos-wrapped router take sustained

@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -37,6 +36,7 @@ import (
 	"repro/internal/netchaos"
 	"repro/internal/obs"
 	"repro/internal/obs/events"
+	"repro/internal/obs/sidecar"
 	"repro/internal/obs/trace"
 )
 
@@ -212,26 +212,12 @@ func publishLoop(ctx context.Context, router *fleet.Router, dir string, every ti
 	}
 }
 
-// fleetMux is the router's observability sidecar: the router's own obs
-// snapshot (fleet.* counters and gauges) in text and JSON, the MERGED
-// fleet-wide view (every replica's piggybacked snapshot, bucket-wise
-// merged, with per-replica health scores and the fleet SLO burn rates),
-// and the event journal.
+// fleetMux is the router's observability sidecar: the shared obs, trace
+// and event routes over the router's own registry (fleet.* counters and
+// gauges), plus the MERGED fleet-wide view of every replica's piggybacked
+// snapshot, bucket-wise merged, in text and JSON.
 func fleetMux(router *fleet.Router) *http.ServeMux {
-	obs.PublishExpvar()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := obs.Default().Snapshot().WriteText(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := obs.Default().Snapshot().WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	mux := sidecar.New("metaai-fleet sidecar", "/fleet/metrics", "/fleet/metrics.json")
 	mux.HandleFunc("/fleet/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		merged, per := router.FleetSnapshot()
@@ -239,19 +225,7 @@ func fleetMux(router *fleet.Router) *http.ServeMux {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		fast, slow := router.BurnRate()
-		fmt.Fprintf(w, "fleet.burn_rate.fast %g\n", fast)
-		fmt.Fprintf(w, "fleet.burn_rate.slow %g\n", slow)
-		health := router.HealthScores()
-		names := make([]string, 0, len(health))
-		for name := range health {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(w, "fleet.replica.health{replica=%q} %g\n", name, health[name])
-		}
-		for _, name := range names {
+		for _, name := range router.Members() {
 			if _, ok := per[name]; !ok {
 				fmt.Fprintf(w, "# replica %s has not piggybacked a snapshot yet\n", name)
 			}
@@ -260,52 +234,10 @@ func fleetMux(router *fleet.Router) *http.ServeMux {
 	mux.HandleFunc("/fleet/metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		merged, per := router.FleetSnapshot()
-		fast, slow := router.BurnRate()
-		out := map[string]any{
-			"merged":      merged,
-			"per_replica": per,
-			"burn_fast":   fast,
-			"burn_slow":   slow,
-			"health":      router.HealthScores(),
-		}
+		out := map[string]any{"merged": merged, "per_replica": per}
 		if err := json.NewEncoder(w).Encode(out); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-	})
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := trace.WriteList(w, trace.Default().List()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/trace/", func(w http.ResponseWriter, r *http.Request) {
-		idHex := strings.TrimPrefix(r.URL.Path, "/trace/")
-		id, err := trace.ParseID(idHex)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		tr, flags := trace.Default().Get(id)
-		if tr == nil {
-			http.Error(w, "trace not retained (sampled out, evicted, or never recorded)", http.StatusNotFound)
-			return
-		}
-		// The router's OWN segment only (fleet.request + hops); probe with
-		// -trace <id> against the router to get the stitched document with
-		// every replica's serve.request spliced in.
-		w.Header().Set("Content-Type", "application/json")
-		if err := trace.WriteJSON(w, tr, flags, trace.ExportOptions{}); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := events.Default().WriteNDJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "metaai-fleet sidecar: /metrics /metrics.json /fleet/metrics /fleet/metrics.json /traces /trace/<id> /events")
 	})
 	return mux
 }

@@ -2,15 +2,12 @@ package main
 
 import (
 	"expvar"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/events"
-	"repro/internal/obs/trace"
+	"repro/internal/obs/sidecar"
 )
 
 // Serving metrics, mirrored alongside the airServer's own atomics (tests
@@ -75,62 +72,16 @@ func requestP99() time.Duration {
 	return time.Duration(h.Quantile(0.99) * float64(time.Second))
 }
 
-// metricsMux builds the observability sidecar: the obs snapshot in text and
-// JSON, the expvar dump, and the full pprof suite.
+// metricsMux builds the observability sidecar: the shared obs, trace and
+// event routes, the expvar dump, and the full pprof suite.
 func metricsMux() *http.ServeMux {
 	obs.PublishExpvar()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := obs.Default().Snapshot().WriteText(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := obs.Default().Snapshot().WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := trace.WriteList(w, trace.Default().List()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/trace/", func(w http.ResponseWriter, r *http.Request) {
-		idHex := strings.TrimPrefix(r.URL.Path, "/trace/")
-		id, err := trace.ParseID(idHex)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		tr, flags := trace.Default().Get(id)
-		if tr == nil {
-			http.Error(w, "trace not retained (sampled out, evicted, or never recorded)", http.StatusNotFound)
-			return
-		}
-		// Chrome trace-event JSON: save the body and load it in
-		// chrome://tracing or https://ui.perfetto.dev.
-		w.Header().Set("Content-Type", "application/json")
-		if err := trace.WriteJSON(w, tr, flags, trace.ExportOptions{}); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := events.Default().WriteNDJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	mux := sidecar.New("metaai-serve observability sidecar", "/debug/vars", "/debug/pprof/")
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "metaai-serve observability sidecar: /metrics /metrics.json /traces /trace/<id> /events /debug/vars /debug/pprof/")
-	})
 	return mux
 }

@@ -204,11 +204,10 @@ func probeStats(conn probeConn, symbols []complex128, n int, timeout, budget, de
 			server["rollbacks"], server["canary_rejects"], server["epoch_seq"],
 			server["shed"], server["expired"])
 		if fleetStats != nil {
-			fmt.Printf("fleet stats: live %v  forwards %v  failovers %v  hedged-wins %v  shed %v  expired %v  p99 %vµs  burn %v/%v  health %v\n",
+			fmt.Printf("fleet stats: live %v  forwards %v  failovers %v  hedged-wins %v  shed %v  expired %v  p99 %vµs\n",
 				fleetStats["live"], fleetStats["forwards"], fleetStats["failovers"],
 				fleetStats["hedged_wins"], fleetStats["shed"], fleetStats["expired"],
-				fleetStats["p99_micros"], fleetStats["burn_fast"], fleetStats["burn_slow"],
-				fleetStats["health"])
+				fleetStats["p99_micros"])
 		}
 	}
 	return nil
@@ -218,10 +217,10 @@ func probeStats(conn probeConn, symbols []complex128, n int, timeout, budget, de
 // airproto KindStats exchange) — heal, rollback, and epoch visibility
 // without attaching the HTTP sidecar. The reply's Code carries the stats
 // vector version: a StatsVersionFleet reply (the fleet router answering for
-// the whole fleet) additionally yields the fleet map — router counters,
-// merged p99, SLO burn rates, and one health score per live replica. Older
-// servers and plain replicas yield fleet == nil; versions only ever append
-// slots, so the legacy indexes decode identically from every version.
+// the whole fleet) additionally yields the fleet map — router counters and
+// merged p99. Plain replicas, older servers and routers speaking another
+// fleet version yield fleet == nil; the legacy prefix decodes identically
+// from every version.
 func serverStats(conn probeConn, id uint32, timeout, budget time.Duration, src *rng.Source) (map[string]int64, map[string]any, error) {
 	resp, err := exchange(conn, &airproto.Frame{Kind: airproto.KindStats, ID: id}, timeout, budget, probeBackoffBase, probeAttempts, src)
 	if err != nil {
@@ -241,25 +240,17 @@ func serverStats(conn probeConn, id uint32, timeout, budget time.Duration, src *
 		"shed":           at(airproto.StatShed),
 		"expired":        at(airproto.StatExpired),
 	}
-	if resp.Code < airproto.StatsVersionFleet || len(resp.Data) < airproto.FleetStatsVectorLen {
+	if resp.Code != airproto.StatsVersionFleet || len(resp.Data) < airproto.FleetStatsVectorLen {
 		return legacy, nil, nil
-	}
-	health := make([]float64, 0, len(resp.Data)-airproto.FleetStatsVectorLen)
-	for _, v := range resp.Data[airproto.FleetStatsVectorLen:] {
-		health = append(health, real(v))
 	}
 	fleetStats := map[string]any{
 		"live":        at(airproto.FleetStatLive),
-		"replicas":    at(airproto.FleetStatReplicas),
 		"forwards":    at(airproto.FleetStatForwards),
 		"failovers":   at(airproto.FleetStatFailovers),
 		"hedged_wins": at(airproto.FleetStatHedgedWins),
 		"shed":        at(airproto.FleetStatShed),
 		"expired":     at(airproto.FleetStatExpired),
 		"p99_micros":  real(resp.Data[airproto.FleetStatP99Micros]),
-		"burn_fast":   real(resp.Data[airproto.FleetStatBurnFast]),
-		"burn_slow":   real(resp.Data[airproto.FleetStatBurnSlow]),
-		"health":      health,
 	}
 	return legacy, fleetStats, nil
 }

@@ -10,20 +10,23 @@ package airproto
 // Responders ignore unknown bits, so the flag is forward-compatible.
 const TraceFlagNormalize uint8 = 1
 
-// Stats vector versions, carried on a KindStats REPLY's Code field. Probes
-// older than the version scheme see Code 0 from pre-fleet servers and a
-// Data vector of at least StatsVectorLen either way: versions only ever
-// APPEND slots, so the legacy StatsVector indexes stay valid forever and
-// an old probe reading a newer reply just ignores the tail.
+// Stats vector versions, carried on a KindStats REPLY's Code field. Every
+// reply starts with the StatsVectorLen legacy counters, and that prefix
+// never changes: probes older than the version scheme (which see Code 0
+// from pre-fleet servers) read it at the same indexes from every version.
+// The fleet extension after it is versioned as a whole: a reader decodes
+// the FleetStats slots only when the reply's Code is exactly
+// StatsVersionFleet, and falls back to the legacy prefix otherwise.
 const (
 	// StatsVersionReplica: the reply carries exactly the StatsVector
 	// counters — what a replica answers.
 	StatsVersionReplica uint8 = 1
 	// StatsVersionFleet: the reply carries the StatsVector counters
-	// (fleet-wide sums), then the FleetStats slots, then one health-score
-	// sample per live replica (sorted by replica name) — what a router
-	// answers.
-	StatsVersionFleet uint8 = 2
+	// (fleet-wide sums), then exactly FleetStatsVectorLen-StatsVectorLen
+	// FleetStats slots — what a router answers. Version 3 dropped version
+	// 2's burn-rate slots and per-replica health tail, so the slot layout
+	// after FleetStatLive moved.
+	StatsVersionFleet uint8 = 3
 )
 
 // FleetStats slots, appended after the legacy StatsVector in a
@@ -31,9 +34,6 @@ const (
 const (
 	// FleetStatLive: live (routable) replica count.
 	FleetStatLive = StatsVectorLen + iota
-	// FleetStatReplicas: replicas with a reported health score — the number
-	// of per-replica samples that follow FleetStatsVectorLen.
-	FleetStatReplicas
 	// FleetStatForwards: data frames the router forwarded.
 	FleetStatForwards
 	// FleetStatFailovers: forwards re-sent to another replica after an
@@ -49,11 +49,6 @@ const (
 	// FleetStatP99Micros: fleet-wide p99 of the merged serve.request
 	// latency histogram, in microseconds.
 	FleetStatP99Micros
-	// FleetStatBurnFast and FleetStatBurnSlow: the router's fast- and
-	// slow-window SLO error-budget burn rates.
-	FleetStatBurnFast
-	FleetStatBurnSlow
-	// FleetStatsVectorLen is the fleet reply's fixed prefix length;
-	// FleetStatReplicas health-score samples follow it.
+	// FleetStatsVectorLen is the fleet reply's length.
 	FleetStatsVectorLen
 )

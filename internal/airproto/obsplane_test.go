@@ -52,48 +52,54 @@ func TestTraceContextRefusals(t *testing.T) {
 	}
 }
 
-// TestStatsForwardCompat pins the versioning contract: a reply from a
-// NEWER build — more appended slots than this build knows about — still
-// decodes cleanly, with every legacy StatsVector index intact. Appending
-// is the only evolution the scheme allows precisely so this holds.
+// TestStatsForwardCompat pins the versioning contract. The legacy
+// StatsVector prefix never changes: a reply from another build (an older
+// router's version 2 layout, or a newer version with slots this build has
+// no names for) decodes cleanly with every legacy index intact. The fleet
+// extension after the prefix is versioned as a whole, so such a reply
+// carries a Code other than StatsVersionFleet, and a versioned reader
+// falls back to the legacy prefix instead of reading the other layout's
+// slots under this build's names.
 func TestStatsForwardCompat(t *testing.T) {
-	// A hypothetical v3 reply: legacy counters, fleet slots, health
-	// samples, plus three future slots this build has no names for.
-	future := make([]complex128, FleetStatsVectorLen+2+3)
 	legacy := []float64{101, 2, 3, 1, 1, 9, 4, 5}
 	if len(legacy) != StatsVectorLen {
 		t.Fatalf("test vector drifted: %d legacy slots", len(legacy))
 	}
-	for i, v := range legacy {
-		future[i] = complex(v, 0)
-	}
-	future[FleetStatLive] = complex(2, 0)
-	future[FleetStatReplicas] = complex(2, 0)
-	f := &Frame{Kind: KindStats, Code: StatsVersionFleet + 1, ID: 9, Data: future}
-	wire, err := f.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := Unmarshal(wire)
-	if err != nil {
-		t.Fatalf("future stats reply failed to decode: %v", err)
-	}
-	// The legacy read every existing probe performs: bounds check against
-	// StatsVectorLen, then indexed reads.
-	if len(g.Data) < StatsVectorLen {
-		t.Fatalf("future reply shorter than the legacy vector: %d", len(g.Data))
-	}
-	for i, want := range legacy {
-		if got := real(g.Data[i]); got != want {
-			t.Fatalf("legacy slot %d misindexed: got %g want %g", i, got, want)
+	// Version 2 appended ten fleet slots (live, replicas, forwards,
+	// failovers, hedged wins, shed, expired, p99, fast and slow burn) and
+	// one health sample per live replica; here two replicas. The future
+	// version appends three slots past this build's fleet layout.
+	for _, other := range []struct {
+		version uint8
+		slots   int
+	}{{2, StatsVectorLen + 10 + 2}, {StatsVersionFleet + 1, FleetStatsVectorLen + 3}} {
+		data := make([]complex128, other.slots)
+		for i, v := range legacy {
+			data[i] = complex(v, 0)
 		}
-	}
-	// A versioned reader sees an unknown version and falls back to the
-	// highest prefix it understands — the fleet prefix is still intact.
-	if g.Code <= StatsVersionFleet {
-		t.Fatalf("test frame should carry a future version, got %d", g.Code)
-	}
-	if real(g.Data[FleetStatLive]) != 2 || real(g.Data[FleetStatReplicas]) != 2 {
-		t.Fatal("fleet slots misindexed in future reply")
+		for i := StatsVectorLen; i < len(data); i++ {
+			data[i] = complex(float64(1000+i), 0)
+		}
+		wire, err := (&Frame{Kind: KindStats, Code: other.version, ID: 9, Data: data}).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Unmarshal(wire)
+		if err != nil {
+			t.Fatalf("version %d stats reply failed to decode: %v", other.version, err)
+		}
+		// The legacy read every probe performs: bounds check against
+		// StatsVectorLen, then indexed reads.
+		if len(g.Data) < StatsVectorLen {
+			t.Fatalf("version %d reply shorter than the legacy vector: %d", other.version, len(g.Data))
+		}
+		for i, want := range legacy {
+			if got := real(g.Data[i]); got != want {
+				t.Fatalf("version %d: legacy slot %d misindexed: got %g want %g", other.version, i, got, want)
+			}
+		}
+		if g.Code == StatsVersionFleet {
+			t.Fatalf("a version %d layout decodes as this build's fleet version", other.version)
+		}
 	}
 }

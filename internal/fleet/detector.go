@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs/slo"
 	"repro/internal/rng"
 )
 
@@ -49,25 +48,12 @@ type DetectorConfig struct {
 	ProbeMax  time.Duration
 	// ProbeLimit is how many unanswered suspect probes evict (default 5).
 	ProbeLimit int
-	// NackWindow and NackFrac arm data-path suspicion: when the trailing
+	// NackWindow and NackFrac tune data-path suspicion: when the trailing
 	// NackWindow forward outcomes for a member are at least NackFrac
 	// failures, the member turns Suspect without waiting for heartbeats to
-	// miss. NackWindow 0 takes the default 16; a NEGATIVE NackWindow
-	// disables data-path suspicion entirely (NackFrac defaults to 0.5).
+	// miss (defaults 16 / 0.5).
 	NackWindow int
 	NackFrac   float64
-	// SLOTarget arms burn-rate (latency) suspicion: every forwarded request
-	// reported via ReportLatency counts as good when it succeeded within
-	// SLOTarget, and a member whose multi-window error-budget burn rate
-	// (see internal/obs/slo) exceeds SLO.MaxBurn turns Suspect — catching a
-	// silently-SLOW replica that still answers heartbeats and NACKs
-	// nothing, which neither heartbeat misses nor the NACK window ever
-	// would. Zero disables (the default: latency suspicion is opt-in
-	// because the right target is deployment-specific).
-	SLOTarget time.Duration
-	// SLO tunes the per-member burn-rate trackers (zero fields take the
-	// slo package defaults: objective 0.99, windows 32/256, max burn 2).
-	SLO slo.Config
 }
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
@@ -83,9 +69,7 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 	if c.ProbeLimit <= 0 {
 		c.ProbeLimit = 5
 	}
-	if c.NackWindow < 0 {
-		c.NackWindow = 0
-	} else if c.NackWindow == 0 {
+	if c.NackWindow <= 0 {
 		c.NackWindow = 16
 	}
 	if c.NackFrac <= 0 || c.NackFrac > 1 {
@@ -104,7 +88,6 @@ type memberHealth struct {
 	widx      int
 	wfill     int
 	wfails    int
-	slo       *slo.Tracker // burn-rate tracker; nil when SLOTarget is off
 }
 
 // Detector is the fleet's failure detector: a per-member
@@ -129,13 +112,7 @@ func NewDetector(cfg DetectorConfig, src *rng.Source) *Detector {
 func (d *Detector) member(name string) *memberHealth {
 	h := d.m[name]
 	if h == nil {
-		h = &memberHealth{}
-		if d.cfg.NackWindow > 0 {
-			h.window = make([]bool, d.cfg.NackWindow)
-		}
-		if d.cfg.SLOTarget > 0 {
-			h.slo = slo.New(d.cfg.SLO)
-		}
+		h = &memberHealth{window: make([]bool, d.cfg.NackWindow)}
 		d.m[name] = h
 	}
 	return h
@@ -202,9 +179,6 @@ func (d *Detector) ReportForward(name string, failed bool, now time.Time) Member
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	h := d.member(name)
-	if len(h.window) == 0 {
-		return h.state
-	}
 	if h.wfill == len(h.window) && h.window[h.widx] {
 		h.wfails--
 	}
@@ -222,43 +196,6 @@ func (d *Detector) ReportForward(name string, failed bool, now time.Time) Member
 		h.resetWindow()
 	}
 	return h.state
-}
-
-// ReportLatency records one forwarded request's latency outcome for
-// burn-rate suspicion: the observation is good when the request succeeded
-// (ok) within the configured SLOTarget. An Alive member whose fast AND
-// slow burn windows both exceed the threshold turns Suspect — the
-// silently-slow failure mode heartbeats cannot see, because a replica
-// drowning in queue depth still answers a 12-byte heartbeat instantly.
-// The tracker resets on suspicion (like the NACK window) so the next
-// Alive stint starts with a clean budget. No-op when SLOTarget is unset.
-// Returns the state after the report.
-func (d *Detector) ReportLatency(name string, dur time.Duration, ok bool, now time.Time) MemberState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	h := d.member(name)
-	if h.slo == nil {
-		return h.state
-	}
-	h.slo.Observe(ok && dur <= d.cfg.SLOTarget)
-	if h.state == Alive && !h.slo.Healthy() {
-		d.suspect(h, now)
-		h.slo.Reset()
-	}
-	return h.state
-}
-
-// HealthScore returns the member's burn-rate health score in (0, 1] — 1
-// with no budget burning (or with SLO tracking off), shrinking toward 0 as
-// the worst-window burn grows. The router exports it per replica.
-func (d *Detector) HealthScore(name string) float64 {
-	d.mu.Lock()
-	h := d.m[name]
-	d.mu.Unlock()
-	if h == nil || h.slo == nil {
-		return 1
-	}
-	return h.slo.HealthScore()
 }
 
 // ShouldProbe reports whether a Suspect member's next jittered probe is
@@ -306,7 +243,6 @@ func (d *Detector) Revive(name string) {
 	h.state = Alive
 	h.misses, h.probes = 0, 0
 	h.resetWindow()
-	h.slo.Reset()
 }
 
 // Counts returns how many known members sit in each state.

@@ -36,22 +36,8 @@ func (r *Router) FleetSnapshot() (merged obs.Snapshot, per map[string]obs.Snapsh
 	return obs.MergeSnapshots(snaps...), per
 }
 
-// BurnRate returns the router's fleet-wide SLO error-budget burn over the
-// fast and slow windows (0, 0 while SLO tracking is disabled).
-func (r *Router) BurnRate() (fast, slow float64) { return r.fleetSLO.BurnRate() }
-
-// HealthScores returns every member's burn-rate health score in (0, 1],
-// keyed by name (1 for members with no latency evidence yet).
-func (r *Router) HealthScores() map[string]float64 {
-	out := make(map[string]float64)
-	for _, m := range r.snapshotMembers() {
-		out[m.name] = r.det.HealthScore(m.name)
-	}
-	return out
-}
-
 // liveMembersSorted returns the Alive members in name order — the
-// deterministic fan-out order for trace fetches and stats exports.
+// deterministic fan-out order for trace fetches.
 func (r *Router) liveMembersSorted() []*member {
 	ms := r.snapshotMembers()
 	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
@@ -67,13 +53,11 @@ func (r *Router) liveMembersSorted() []*member {
 // answerStats answers a KindStats request at the router with a
 // StatsVersionFleet reply: the legacy StatsVector slots carry fleet-wide
 // SUMS from the merged replica snapshots (so an old probe pointed at the
-// router still reads sensible totals at the same indexes), the FleetStats
-// slots carry router-level counters, merged p99, and burn rates, and one
-// health-score sample per live replica follows.
+// router still reads sensible totals at the same indexes), and the
+// FleetStats slots carry router-level counters and the merged p99.
 func (r *Router) answerStats(conn netchaos.PacketConn, f *airproto.Frame, from *net.UDPAddr) {
 	merged, _ := r.FleetSnapshot()
-	live := r.liveMembersSorted()
-	data := make([]complex128, airproto.FleetStatsVectorLen, airproto.FleetStatsVectorLen+len(live))
+	data := make([]complex128, airproto.FleetStatsVectorLen)
 	ctr := func(slot int, name string) {
 		data[slot] = complex(float64(merged.Counters[name]), 0)
 	}
@@ -86,8 +70,7 @@ func (r *Router) answerStats(conn netchaos.PacketConn, f *airproto.Frame, from *
 	ctr(airproto.StatExpired, "serve.expired")
 	data[airproto.StatEpochSeq] = complex(float64(r.CurrentTid()), 0)
 
-	data[airproto.FleetStatLive] = complex(float64(len(live)), 0)
-	data[airproto.FleetStatReplicas] = complex(float64(len(live)), 0)
+	data[airproto.FleetStatLive] = complex(float64(len(r.liveMembersSorted())), 0)
 	data[airproto.FleetStatForwards] = complex(float64(forwardCount.Value()), 0)
 	data[airproto.FleetStatFailovers] = complex(float64(failoverCount.Value()), 0)
 	data[airproto.FleetStatHedgedWins] = complex(float64(hedgedWinCount.Value()), 0)
@@ -95,12 +78,6 @@ func (r *Router) answerStats(conn netchaos.PacketConn, f *airproto.Frame, from *
 	data[airproto.FleetStatExpired] = complex(float64(expiredCount.Value()), 0)
 	p99 := merged.Histograms["serve.request.seconds"].Quantile(0.99)
 	data[airproto.FleetStatP99Micros] = complex(p99*1e6, 0)
-	fast, slow := r.BurnRate()
-	data[airproto.FleetStatBurnFast] = complex(fast, 0)
-	data[airproto.FleetStatBurnSlow] = complex(slow, 0)
-	for _, m := range live {
-		data = append(data, complex(r.det.HealthScore(m.name), 0))
-	}
 	r.writeTo(conn, from, &airproto.Frame{
 		Kind: airproto.KindStats,
 		Code: airproto.StatsVersionFleet,

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/airproto"
 	"repro/internal/obs"
-	"repro/internal/obs/slo"
 )
 
 // serveAgent answers frames for a bare Agent on a loopback UDP socket until
@@ -17,9 +16,10 @@ import (
 func serveAgent(t *testing.T, a *Agent) *net.UDPAddr { return serveReplica(t, a, nil) }
 
 // serveReplica is serveAgent plus a data plane: each KindData frame goes to
-// data, whose non-nil reply is sent back. With data nil, data frames are
-// dropped.
-func serveReplica(t *testing.T, a *Agent, data func(*airproto.Frame) *airproto.Frame) *net.UDPAddr {
+// data with a reply func that sends a frame back to the frame's sender. The
+// reply func is safe to call from any goroutine, any number of times. With
+// data nil, data frames are dropped.
+func serveReplica(t *testing.T, a *Agent, data func(f *airproto.Frame, reply func(*airproto.Frame))) *net.UDPAddr {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -38,18 +38,17 @@ func serveReplica(t *testing.T, a *Agent, data func(*airproto.Frame) *airproto.F
 			if err != nil {
 				continue
 			}
-			var reply *airproto.Frame
-			if f.Kind == airproto.KindData {
-				if data != nil {
-					reply = data(f)
-				}
-			} else if r, ok := a.HandleFrame(f); ok {
-				reply = r
-			}
-			if reply != nil {
-				if out, err := reply.Marshal(); err == nil {
+			reply := func(r *airproto.Frame) {
+				if out, err := r.Marshal(); err == nil {
 					conn.WriteToUDP(out, from)
 				}
+			}
+			if f.Kind == airproto.KindData {
+				if data != nil {
+					data(f, reply)
+				}
+			} else if r, ok := a.HandleFrame(f); ok {
+				reply(r)
 			}
 		}
 	}()
@@ -75,7 +74,8 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // TestRouterFleetMetricsPlane drives the router's half of the metrics plane
 // over real sockets: two agents piggyback their own registries on heartbeat
 // replies, and the router must merge them into FleetSnapshot, answer
-// KindStats with the fleet sums and merged p99, and keep a member's last
+// KindStats with a StatsVersionFleet vector of exactly FleetStatsVectorLen
+// slots carrying the fleet sums and merged p99, and keep a member's last
 // good snapshot when a later blob fails its CRC.
 func TestRouterFleetMetricsPlane(t *testing.T) {
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
@@ -158,8 +158,17 @@ func TestRouterFleetMetricsPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Kind != airproto.KindStats || resp.Code != airproto.StatsVersionFleet || len(resp.Data) < airproto.FleetStatsVectorLen {
-		t.Fatalf("stats reply kind %d code %d len %d, want a fleet stats vector", resp.Kind, resp.Code, len(resp.Data))
+	// Version 3 is the layout without version 2's burn slots and health
+	// tail: the fleet slots end the vector.
+	if resp.Kind != airproto.KindStats || resp.Code != 3 || len(resp.Data) != airproto.FleetStatsVectorLen {
+		t.Fatalf("stats reply kind %d code %d len %d, want version 3 with exactly %d slots",
+			resp.Kind, resp.Code, len(resp.Data), airproto.FleetStatsVectorLen)
+	}
+	if got := real(resp.Data[airproto.FleetStatLive]); got != 2 {
+		t.Fatalf("FleetStatLive = %v, want 2", got)
+	}
+	if got := router.Members(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("Members() = %v, want [a b]", got)
 	}
 	if got := real(resp.Data[airproto.StatServed]); got != 32 {
 		t.Fatalf("StatServed = %v, want 32 (30 + 2)", got)
@@ -197,70 +206,5 @@ func TestRouterFleetMetricsPlane(t *testing.T) {
 	}
 	if !reflect.DeepEqual(afterPer["a"], per["a"]) {
 		t.Fatalf("member a's snapshot changed on a bad blob: %+v", afterPer["a"])
-	}
-}
-
-// TestDetectorSlowReplicaSuspectedBySLO drives the silently-slow failure
-// mode: a replica that answers every heartbeat instantly (so misses never
-// accumulate) and NACKs nothing (so the NACK window never fills) but
-// serves every request far over the SLO target. Burn-rate suspicion must
-// turn it Suspect; neither legacy mechanism ever would.
-func TestDetectorSlowReplicaSuspectedBySLO(t *testing.T) {
-	det := NewDetector(DetectorConfig{
-		SuspectMisses: 2,
-		NackWindow:    8,
-		SLOTarget:     time.Millisecond,
-		SLO:           slo.Config{FastWindow: 32, SlowWindow: 64},
-	}, nil)
-	now := time.Unix(1_726_000_000, 0)
-	det.Revive("slow")
-
-	suspected := false
-	for i := 0; i < 256; i++ {
-		// Heartbeats keep landing: the replica is alive, just drowning.
-		det.Observe("slow", true, now)
-		// Every request SUCCEEDS (no NACK-window evidence) but takes 5ms
-		// against a 1ms target.
-		if det.ReportLatency("slow", 5*time.Millisecond, true, now) == Suspect {
-			suspected = true
-			break
-		}
-		now = now.Add(time.Millisecond)
-	}
-	if !suspected {
-		t.Fatal("silently-slow replica never suspected by burn rate")
-	}
-	if score := det.HealthScore("slow"); score != 1 {
-		t.Fatalf("tracker should reset on suspicion, health = %v", score)
-	}
-
-	// Control: the same traffic within the target never trips suspicion.
-	det2 := NewDetector(DetectorConfig{
-		SLOTarget: time.Millisecond,
-		SLO:       slo.Config{FastWindow: 32, SlowWindow: 64},
-	}, nil)
-	det2.Revive("fast")
-	for i := 0; i < 256; i++ {
-		if det2.ReportLatency("fast", 100*time.Microsecond, true, now) != Alive {
-			t.Fatal("within-SLO replica suspected")
-		}
-	}
-	if score := det2.HealthScore("fast"); score != 1 {
-		t.Fatalf("within-SLO replica health = %v, want 1", score)
-	}
-}
-
-// TestDetectorSLODisabledByDefault: with no SLOTarget, ReportLatency is a
-// no-op and HealthScore reports 1 — the pre-obs-plane behavior.
-func TestDetectorSLODisabledByDefault(t *testing.T) {
-	det := NewDetector(DetectorConfig{}, nil)
-	now := time.Unix(1_726_000_000, 0)
-	for i := 0; i < 512; i++ {
-		if st := det.ReportLatency("r", time.Second, false, now); st != Alive {
-			t.Fatalf("SLO-disabled detector changed state to %v", st)
-		}
-	}
-	if score := det.HealthScore("r"); score != 1 {
-		t.Fatalf("SLO-disabled health = %v, want 1", score)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,6 @@ import (
 	"repro/internal/netchaos"
 	"repro/internal/obs"
 	"repro/internal/obs/events"
-	"repro/internal/obs/slo"
 	"repro/internal/obs/trace"
 	"repro/internal/rng"
 )
@@ -170,9 +170,6 @@ type Router struct {
 	// derives the deterministic fleet.request trace ID. It bumps whether or
 	// not tracing is armed, so arming the tracer never shifts the sequence.
 	fwdSeq atomic.Uint64
-	// fleetSLO tracks the fleet-wide error-budget burn over end-to-end
-	// forward outcomes (nil while Detector.SLOTarget is unset).
-	fleetSLO *slo.Tracker
 
 	inflight  atomic.Int64
 	stop      chan struct{}
@@ -209,9 +206,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		members: make(map[string]*member),
 		pend:    make(map[uint32]chan *airproto.Frame),
 		stop:    make(chan struct{}),
-	}
-	if cfg.Detector.SLOTarget > 0 {
-		r.fleetSLO = slo.New(cfg.Detector.SLO)
 	}
 	for _, rep := range cfg.Replicas {
 		addr, err := net.ResolveUDPAddr("udp", rep.Addr)
@@ -286,9 +280,12 @@ func (r *Router) restoreState() error {
 	return nil
 }
 
-// persistState journals the coordinator's core state atomically (write to a
-// temp file, then rename). Failures are logged, not fatal: the fleet keeps
-// running on its in-memory state and the next mutation retries the write.
+// persistState journals the coordinator's core state durably with
+// checkpoint.WriteFile (temp file, fsync, rename, directory fsync), so a
+// crash leaves the old journal or the new one, never a short file that
+// restoreState would refuse. Failures are logged, not fatal: the fleet
+// keeps running on its in-memory state and the next mutation retries the
+// write.
 func (r *Router) persistState() {
 	if r.cfg.StateDir == "" {
 		return
@@ -304,13 +301,7 @@ func (r *Router) persistState() {
 		st.Members = append(st.Members, checkpoint.FleetMember{Name: m.name, Addr: m.addr.String()})
 	}
 	r.mu.Unlock()
-	b := checkpoint.EncodeFleetState(st)
-	tmp := r.statePath() + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		r.cfg.Logf("fleet: persist state: %v", err)
-		return
-	}
-	if err := os.Rename(tmp, r.statePath()); err != nil {
+	if err := checkpoint.WriteFile(r.statePath(), checkpoint.EncodeFleetState(st)); err != nil {
 		r.cfg.Logf("fleet: persist state: %v", err)
 	}
 }
@@ -325,14 +316,15 @@ func (r *Router) Close() {
 	r.wg.Wait()
 }
 
-// Members returns the current membership names in stable order.
+// Members returns the current membership names in sorted order.
 func (r *Router) Members() []string {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]string, 0, len(r.members))
 	for name := range r.members {
 		out = append(out, name)
 	}
+	r.mu.Unlock()
+	sort.Strings(out)
 	return out
 }
 
@@ -753,7 +745,6 @@ type fwdResult struct {
 // capacity on work nobody will read.
 func (r *Router) forward(conn netchaos.PacketConn, f *airproto.Frame, from *net.UDPAddr) {
 	t := obs.StartTimer()
-	start := time.Now()
 	prefs := r.liveRoute(hashString(from.String()), r.cfg.MaxAttempts)
 	if len(prefs) == 0 {
 		shedCount.Inc()
@@ -771,7 +762,6 @@ func (r *Router) forward(conn netchaos.PacketConn, f *airproto.Frame, from *net.
 	root.SetStr("client", from.String())
 	hops := make([]*trace.Span, 0, len(prefs))
 	hopOpen := make([]bool, 0, len(prefs))
-	starts := make([]time.Time, 0, len(prefs))
 	closeHop := func(attempt int, outcome string) {
 		if attempt < len(hops) && hopOpen[attempt] {
 			hops[attempt].SetStr("outcome", outcome)
@@ -801,7 +791,6 @@ func (r *Router) forward(conn netchaos.PacketConn, f *airproto.Frame, from *net.
 	// exhausted deadline budget is StatusExpired (with the lateness), an
 	// exhausted candidate list is StatusDegraded.
 	giveUp := func() {
-		r.fleetSLO.Observe(false)
 		if late := lateBy(expiry); late > 0 {
 			expiredCount.Inc()
 			root.SetStr("outcome", "expired")
@@ -841,7 +830,6 @@ func (r *Router) forward(conn netchaos.PacketConn, f *airproto.Frame, from *net.
 		hop.SetNum("attempt", float64(attempt))
 		hops = append(hops, hop)
 		hopOpen = append(hopOpen, hop != nil)
-		starts = append(starts, time.Now())
 		// The hop carries the router's own trace context or none, never
 		// a context the client put on its frame.
 		fwd.Trace, fwd.ParentSpan = 0, 0
@@ -889,13 +877,9 @@ func (r *Router) forward(conn netchaos.PacketConn, f *airproto.Frame, from *net.
 		select {
 		case res := <-resCh:
 			outstanding--
-			now := time.Now()
 			failed := res.f == nil || (res.f.IsNack() &&
 				(res.f.Code == airproto.StatusDegraded || res.f.Code == airproto.StatusRetryAfter))
-			r.det.ReportForward(res.m.name, failed, now)
-			if res.attempt < len(starts) {
-				r.det.ReportLatency(res.m.name, now.Sub(starts[res.attempt]), !failed, now)
-			}
+			r.det.ReportForward(res.m.name, failed, time.Now())
 			if !failed {
 				// Success — or a fatal NACK (wrong length, bad frame, no
 				// trace, expired-at-the-replica), which is the client's
@@ -913,8 +897,6 @@ func (r *Router) forward(conn netchaos.PacketConn, f *airproto.Frame, from *net.
 					flags = trace.FlagNack
 				}
 				finishRoot(flags) // the losing hedged hops close as cancelled
-				elapsed := time.Since(start)
-				r.fleetSLO.Observe(!res.f.IsNack() && elapsed <= r.cfg.Detector.SLOTarget)
 				return
 			}
 			closeHop(res.attempt, "failed")
