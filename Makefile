@@ -125,8 +125,9 @@ fleetbench:
 # every failure mode still fires, in about two seconds — plus the router's
 # forward pins under -race: failover on an explicit NACK, a hedged slow
 # primary, StatusExpired on a dead budget, StatusDegraded once every
-# replica NACKs, and exactly one answer per request when replicas reply
-# twice.
+# replica NACKs, exactly one answer per request when replicas reply twice,
+# and exactly one answer when an in-memory upstream delivers each reply
+# inside its attempt's write (once, twice, or before the write fails).
 fleetgate:
 	$(GO) test -race -count=1 -run 'TestFleetBench' -short ./cmd/metaai-serve
 	$(GO) test -race -count=1 -run 'TestForward' ./internal/fleet

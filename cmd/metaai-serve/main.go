@@ -49,11 +49,10 @@ import (
 	"syscall"
 	"time"
 
-	metaai "repro"
-
 	"repro/internal/admission"
 	"repro/internal/airproto"
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/mobility"
@@ -99,7 +98,7 @@ const joinEvery = 2 * time.Second
 
 func main() {
 	var (
-		ds        = flag.String("dataset", "mnist", "dataset: "+strings.Join(metaai.Datasets(), ", "))
+		ds        = flag.String("dataset", "mnist", "dataset: "+strings.Join(dataset.Names(), ", "))
 		addr      = flag.String("addr", "127.0.0.1:9530", "UDP listen address")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		layers    = flag.Int("layers", 1, "stacked metasurface layers for a cold start (1 = classic single surface; a recovered journal epoch keeps its own layer count)")
@@ -242,7 +241,7 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, er
 		}
 	}
 
-	cfg := metaai.DefaultConfig(opt.ds)
+	cfg := core.DefaultConfig(opt.ds)
 	cfg.Seed = opt.seed
 	cfg.Layers = opt.layers
 
@@ -312,7 +311,7 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, er
 
 	// Cold start: train, deploy, and let the first epoch seed the journal.
 	log.Printf("training %s pipeline and solving MTS schedules...", opt.ds)
-	pipe, err := metaai.Run(cfg)
+	pipe, err := core.New(cfg)
 	if err != nil {
 		return serveCfg, nil, err
 	}
@@ -325,7 +324,7 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, er
 	serveCfg.deployment = pipe.Deployment()
 	serveCfg.reference = pipe.Deployment()
 	serveCfg.meta = checkpoint.Meta{Dataset: opt.ds, Seed: opt.seed, FaultRate: opt.faultRate}
-	if cfg.Sync == metaai.SyncCoarse || cfg.Sync == metaai.SyncCDFA {
+	if cfg.Sync == core.SyncCoarse || cfg.Sync == core.SyncCDFA {
 		det := cfg.EffectiveDetector(pipe.Train.U)
 		serveCfg.meta.DetShape, serveCfg.meta.DetScale = det.Shape, det.Scale
 	}
@@ -354,30 +353,31 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, er
 	return serveCfg, journal, nil
 }
 
+// snapshotSource supplies the metrics snapshot a replica piggybacks on
+// fleet heartbeat replies, counters live with or without timing, for the
+// router's fleet-wide view. Encoding is not cheap, so the blob is
+// re-encoded at most twice a second and served from cache between.
+func snapshotSource() func() []byte {
+	var mu sync.Mutex
+	var at time.Time
+	var blob []byte
+	return func() []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		if now := time.Now(); blob == nil || now.Sub(at) > 500*time.Millisecond {
+			blob, at = obs.EncodeSnapshot(obs.Default().Snapshot()), now
+		}
+		return blob
+	}
+}
+
 func runServer(addr string, opt serverOptions, sidecar *http.Server) error {
 	serveCfg, journal, err := buildServerConfig(opt)
 	if err != nil {
 		return err
 	}
 	srv := newAirServer(serveCfg)
-	if obs.Enabled() {
-		// Piggyback this replica's metrics snapshot on fleet heartbeat
-		// replies so the router can merge a fleet-wide view. Heartbeats are
-		// frequent and cheap; snapshot encoding is neither, so the blob is
-		// re-encoded at most twice a second and served from cache between.
-		var snapMu sync.Mutex
-		var snapAt time.Time
-		var snapBlob []byte
-		srv.fleetAgent.SetSnapshotSource(func() []byte {
-			snapMu.Lock()
-			defer snapMu.Unlock()
-			if now := time.Now(); snapBlob == nil || now.Sub(snapAt) > 500*time.Millisecond {
-				snapBlob = obs.EncodeSnapshot(obs.Default().Snapshot())
-				snapAt = now
-			}
-			return snapBlob
-		})
-	}
+	srv.fleetAgent.SetSnapshotSource(snapshotSource())
 
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/airproto"
+	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -88,4 +89,27 @@ func TestMetricsSidecarReportsServing(t *testing.T) {
 		t.Fatal("/debug/vars missing the metaai expvar")
 	}
 	get("/debug/pprof/")
+}
+
+// TestSnapshotSourceCountsWithObsDisabled: with timing off (no
+// -metrics-addr), the snapshot a replica piggybacks on its heartbeat
+// replies still decodes and carries its serve.served count, so a router's
+// KindStats sums are real for every fleet.
+func TestSnapshotSourceCountsWithObsDisabled(t *testing.T) {
+	obs.SetEnabled(false)
+	servedCount.Add(3)
+	want := servedCount.Value()
+	agent := fleet.NewAgent(nil)
+	agent.SetSnapshotSource(snapshotSource())
+	reply, ok := agent.HandleFrame(airproto.Heartbeat(7))
+	if !ok || reply.Snapshot() == nil {
+		t.Fatal("heartbeat reply carries no snapshot with obs disabled")
+	}
+	snap, err := obs.DecodeSnapshot(reply.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["serve.served"]; got != want {
+		t.Fatalf("piggybacked serve.served = %d, want %d", got, want)
+	}
 }

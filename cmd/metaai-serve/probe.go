@@ -9,9 +9,8 @@ import (
 	"sort"
 	"time"
 
-	metaai "repro"
-
 	"repro/internal/airproto"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/netchaos"
 	"repro/internal/nn"
@@ -88,7 +87,7 @@ func runProbe(addr string, opt probeOptions) error {
 		return fetchTrace(conn, opt.traceID, opt.timeout, opt.budget, rng.New(opt.seed^0x7ace))
 	}
 
-	cfg := metaai.DefaultConfig(opt.ds)
+	cfg := core.DefaultConfig(opt.ds)
 	cfg.Seed = opt.seed
 	data := dataset.MustLoad(opt.ds, cfg.Scale, cfg.Seed)
 	sample := data.Test[0]
@@ -215,44 +214,26 @@ func probeStats(conn probeConn, symbols []complex128, n int, timeout, budget, de
 
 // serverStats asks the server for its serving counters over the wire (an
 // airproto KindStats exchange) — heal, rollback, and epoch visibility
-// without attaching the HTTP sidecar. The reply's Code carries the stats
-// vector version: a StatsVersionFleet reply (the fleet router answering for
-// the whole fleet) additionally yields the fleet map — router counters and
-// merged p99. Plain replicas, older servers and routers speaking another
-// fleet version yield fleet == nil; the legacy prefix decodes identically
-// from every version.
+// without attaching the HTTP sidecar. Only a router answering at this
+// build's fleet version yields the fleet map (router counters and merged
+// p99); every version yields the legacy counters.
 func serverStats(conn probeConn, id uint32, timeout, budget time.Duration, src *rng.Source) (map[string]int64, map[string]any, error) {
 	resp, err := exchange(conn, &airproto.Frame{Kind: airproto.KindStats, ID: id}, timeout, budget, probeBackoffBase, probeAttempts, src)
 	if err != nil {
 		return nil, nil, err
 	}
-	if resp.Kind != airproto.KindStats || len(resp.Data) < airproto.StatsVectorLen {
-		return nil, nil, fmt.Errorf("malformed stats reply (kind %d, %d values)", resp.Kind, len(resp.Data))
+	s, err := airproto.DecodeStats(resp)
+	if err != nil {
+		return nil, nil, err
 	}
-	at := func(i int) int64 { return int64(real(resp.Data[i])) }
-	legacy := map[string]int64{
-		"served":         at(airproto.StatServed),
-		"heals":          at(airproto.StatHeals),
-		"swaps":          at(airproto.StatSwaps),
-		"rollbacks":      at(airproto.StatRollbacks),
-		"canary_rejects": at(airproto.StatCanaryRejects),
-		"epoch_seq":      at(airproto.StatEpochSeq),
-		"shed":           at(airproto.StatShed),
-		"expired":        at(airproto.StatExpired),
+	legacy := map[string]int64{"served": s.Served, "heals": s.Heals, "swaps": s.Swaps,
+		"rollbacks": s.Rollbacks, "canary_rejects": s.CanaryRejects, "epoch_seq": s.EpochSeq,
+		"shed": s.Shed, "expired": s.Expired}
+	if f := s.Fleet; f != nil {
+		return legacy, map[string]any{"live": f.Live, "forwards": f.Forwards, "failovers": f.Failovers,
+			"hedged_wins": f.HedgedWins, "shed": f.Shed, "expired": f.Expired, "p99_micros": f.P99Micros}, nil
 	}
-	if resp.Code != airproto.StatsVersionFleet || len(resp.Data) < airproto.FleetStatsVectorLen {
-		return legacy, nil, nil
-	}
-	fleetStats := map[string]any{
-		"live":        at(airproto.FleetStatLive),
-		"forwards":    at(airproto.FleetStatForwards),
-		"failovers":   at(airproto.FleetStatFailovers),
-		"hedged_wins": at(airproto.FleetStatHedgedWins),
-		"shed":        at(airproto.FleetStatShed),
-		"expired":     at(airproto.FleetStatExpired),
-		"p99_micros":  real(resp.Data[airproto.FleetStatP99Micros]),
-	}
-	return legacy, fleetStats, nil
+	return legacy, nil, nil
 }
 
 // exchange sends req and waits for THE MATCHING response: a reply whose ID

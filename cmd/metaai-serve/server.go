@@ -387,18 +387,13 @@ func (s *airServer) checkRollback() {
 }
 
 // statsFrame answers a KindStats request: the serving counters and current
-// epoch sequence, as the real parts of a StatsVector-indexed vector.
+// epoch sequence.
 func (s *airServer) statsFrame(id uint32) *airproto.Frame {
-	data := make([]complex128, airproto.StatsVectorLen)
-	data[airproto.StatServed] = complex(float64(s.served.Load()), 0)
-	data[airproto.StatHeals] = complex(float64(s.heals.Load()), 0)
-	data[airproto.StatSwaps] = complex(float64(s.swaps.Load()), 0)
-	data[airproto.StatRollbacks] = complex(float64(s.rollbacks.Load()), 0)
-	data[airproto.StatCanaryRejects] = complex(float64(s.canaryRejects.Load()), 0)
-	data[airproto.StatEpochSeq] = complex(float64(s.epochSeq.Load()), 0)
-	data[airproto.StatShed] = complex(float64(s.shed.Load()), 0)
-	data[airproto.StatExpired] = complex(float64(s.expired.Load()), 0)
-	return &airproto.Frame{Kind: airproto.KindStats, Code: airproto.StatsVersionReplica, ID: id, Data: data}
+	return airproto.StatsReply(id, &airproto.Stats{
+		Served: s.served.Load(), Heals: s.heals.Load(), Swaps: s.swaps.Load(),
+		Rollbacks: s.rollbacks.Load(), CanaryRejects: s.canaryRejects.Load(),
+		EpochSeq: int64(s.epochSeq.Load()), Shed: s.shed.Load(), Expired: s.expired.Load(),
+	})
 }
 
 // applyFleetEpoch installs one epoch replicated by the fleet coordinator:

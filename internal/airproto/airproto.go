@@ -104,6 +104,65 @@ const (
 	StatsVectorLen
 )
 
+// Stats is the counter set a KindStats reply carries. A replica answers
+// the legacy counters alone (StatsVersionReplica); a router answers them as
+// fleet-wide sums and adds its own counters in Fleet (StatsVersionFleet).
+type Stats struct {
+	Served, Heals, Swaps, Rollbacks, CanaryRejects, EpochSeq, Shed, Expired int64
+
+	Fleet *FleetStats // nil from a replica
+}
+
+// FleetStats is the router's part of a StatsVersionFleet reply.
+type FleetStats struct {
+	Live, Forwards, Failovers, HedgedWins, Shed, Expired int64
+
+	P99Micros float64 // the merged serve.request p99
+}
+
+// slots is the float layout StatsReply writes and DecodeStats reads: each
+// counter's slot index, the fleet extension's in FleetStats order after the
+// legacy vector. The p99 is the one fractional slot.
+func (s *Stats) slots() []*int64 {
+	p := []*int64{StatServed: &s.Served, StatHeals: &s.Heals, StatSwaps: &s.Swaps,
+		StatRollbacks: &s.Rollbacks, StatCanaryRejects: &s.CanaryRejects,
+		StatEpochSeq: &s.EpochSeq, StatShed: &s.Shed, StatExpired: &s.Expired}
+	if f := s.Fleet; f != nil {
+		p = append(p, &f.Live, &f.Forwards, &f.Failovers, &f.HedgedWins, &f.Shed, &f.Expired)
+	}
+	return p
+}
+
+// StatsReply encodes s as the answer to KindStats request id, every value
+// in the real part of its slot.
+func StatsReply(id uint32, s *Stats) *Frame {
+	f := &Frame{Kind: KindStats, Code: StatsVersionReplica, ID: id, Data: make([]complex128, StatsVectorLen)}
+	if s.Fleet != nil {
+		f.Code, f.Data = StatsVersionFleet, make([]complex128, FleetStatsVectorLen)
+		f.Data[FleetStatP99Micros] = complex(s.Fleet.P99Micros, 0)
+	}
+	for i, p := range s.slots() {
+		f.Data[i] = complex(float64(*p), 0)
+	}
+	return f
+}
+
+// DecodeStats reads a KindStats reply. The legacy counters decode from
+// every version; Fleet is set only from a StatsVersionFleet reply.
+func DecodeStats(f *Frame) (*Stats, error) {
+	if f.Kind != KindStats || len(f.Data) < StatsVectorLen {
+		return nil, fmt.Errorf("malformed stats reply (kind %d, %d values)", f.Kind, len(f.Data))
+	}
+	s := &Stats{}
+	if f.Code == StatsVersionFleet && len(f.Data) >= FleetStatsVectorLen {
+		s.Fleet = &FleetStats{P99Micros: real(f.Data[FleetStatP99Micros])}
+	}
+	for i, p := range s.slots() {
+		*p = int64(real(f.Data[i]))
+	}
+	return s, nil
+}
+
 // Status codes carried by NACK frames.
 const (
 	// StatusBadFrame: the request failed to parse; sender should fix, not

@@ -17,38 +17,22 @@ const TraceFlagNormalize uint8 = 1
 // The fleet extension after it is versioned as a whole: a reader decodes
 // the FleetStats slots only when the reply's Code is exactly
 // StatsVersionFleet, and falls back to the legacy prefix otherwise.
+// Version 3 dropped version 2's burn-rate slots and per-replica health
+// tail, so the slot layout after FleetStatLive moved.
 const (
-	// StatsVersionReplica: the reply carries exactly the StatsVector
-	// counters — what a replica answers.
-	StatsVersionReplica uint8 = 1
-	// StatsVersionFleet: the reply carries the StatsVector counters
-	// (fleet-wide sums), then exactly FleetStatsVectorLen-StatsVectorLen
-	// FleetStats slots — what a router answers. Version 3 dropped version
-	// 2's burn-rate slots and per-replica health tail, so the slot layout
-	// after FleetStatLive moved.
-	StatsVersionFleet uint8 = 3
+	StatsVersionReplica uint8 = 1 // exactly the StatsVector counters: a replica's reply
+	StatsVersionFleet   uint8 = 3 // fleet-wide sums, then the FleetStats slots: a router's
 )
 
 // FleetStats slots, appended after the legacy StatsVector in a
 // StatsVersionFleet reply.
 const (
-	// FleetStatLive: live (routable) replica count.
-	FleetStatLive = StatsVectorLen + iota
-	// FleetStatForwards: data frames the router forwarded.
-	FleetStatForwards
-	// FleetStatFailovers: forwards re-sent to another replica after an
-	// explicit NACK or timeout.
-	FleetStatFailovers
-	// FleetStatHedgedWins: requests won by a hedge (attempt > 0).
-	FleetStatHedgedWins
-	// FleetStatShed: requests shed by router admission.
-	FleetStatShed
-	// FleetStatExpired: requests whose deadline budget ran out at the
-	// router.
-	FleetStatExpired
-	// FleetStatP99Micros: fleet-wide p99 of the merged serve.request
-	// latency histogram, in microseconds.
-	FleetStatP99Micros
-	// FleetStatsVectorLen is the fleet reply's length.
-	FleetStatsVectorLen
+	FleetStatLive       = StatsVectorLen + iota // live (routable) replica count
+	FleetStatForwards                           // data frames the router forwarded
+	FleetStatFailovers                          // forwards re-sent to another replica after a shed NACK
+	FleetStatHedgedWins                         // requests won by a hedge (attempt > 0)
+	FleetStatShed                               // requests shed by the router
+	FleetStatExpired                            // requests whose deadline budget ran out at the router
+	FleetStatP99Micros                          // p99 of the merged serve.request histogram, in µs
+	FleetStatsVectorLen                         // the fleet reply's length
 )

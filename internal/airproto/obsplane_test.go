@@ -101,5 +101,42 @@ func TestStatsForwardCompat(t *testing.T) {
 		if g.Code == StatsVersionFleet {
 			t.Fatalf("a version %d layout decodes as this build's fleet version", other.version)
 		}
+		if s, err := DecodeStats(g); err != nil || s.Served != 101 || s.Expired != 5 || s.Fleet != nil {
+			t.Fatalf("version %d: DecodeStats gave %+v, %v; want the legacy counters and no fleet part", other.version, s, err)
+		}
+	}
+}
+
+// TestStatsReplyLayout: StatsReply writes each counter at its StatsVector
+// or FleetStats slot, and DecodeStats reads back what it wrote, through
+// the wire, for a replica's reply and a router's.
+func TestStatsReplyLayout(t *testing.T) {
+	replica := &Stats{Served: 101, Heals: 2, Swaps: 3, Rollbacks: 1, CanaryRejects: 1, EpochSeq: 9, Shed: 4, Expired: 5}
+	fleet := *replica
+	fleet.Fleet = &FleetStats{Live: 2, Forwards: 7, Failovers: 1, HedgedWins: 3, Shed: 6, Expired: 8, P99Micros: 412.5}
+	for _, s := range []*Stats{replica, &fleet} {
+		f := StatsReply(42, s)
+		if real(f.Data[StatServed]) != 101 || real(f.Data[StatEpochSeq]) != 9 || real(f.Data[StatExpired]) != 5 {
+			t.Fatalf("legacy slots misplaced: %v", f.Data)
+		}
+		if s.Fleet != nil && (f.Code != StatsVersionFleet || len(f.Data) != FleetStatsVectorLen ||
+			real(f.Data[FleetStatForwards]) != 7 || real(f.Data[FleetStatP99Micros]) != 412.5) {
+			t.Fatalf("fleet reply came out as version %d: %v", f.Code, f.Data)
+		}
+		wire, err := f.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Unmarshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeStats(g)
+		if err != nil || g.ID != 42 || !reflect.DeepEqual(got, s) {
+			t.Fatalf("decoded %+v (%v), want %+v", got, err, s)
+		}
+	}
+	if _, err := DecodeStats(&Frame{Kind: KindStats, Data: make([]complex128, StatsVectorLen-1)}); err == nil {
+		t.Fatal("decoded a stats reply shorter than the legacy vector")
 	}
 }

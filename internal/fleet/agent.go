@@ -62,8 +62,7 @@ type Agent struct {
 	// snapSource, when set, supplies an encoded obs.Snapshot blob
 	// (obs.EncodeSnapshot) to piggyback on heartbeat replies — the
 	// replica's contribution to the router's merged fleet snapshot. Nil
-	// (the default, and whenever observability is disabled) keeps replies
-	// to the bare fleet version.
+	// (the default) keeps replies to the bare fleet version.
 	snapSource atomic.Pointer[func() []byte]
 
 	mu       sync.Mutex
@@ -93,9 +92,8 @@ func (a *Agent) FleetVersion() (seq uint64, nonce uint32) {
 
 // SetSnapshotSource installs (or, with nil, removes) the callback that
 // supplies an encoded obs.Snapshot blob for heartbeat-reply piggybacking.
-// The serving binary wires a throttled obs.EncodeSnapshot of its default
-// registry here when the observability sidecar is armed. Safe to call
-// concurrently with HandleFrame.
+// The serving binary always wires a throttled obs.EncodeSnapshot of its
+// default registry here. Safe to call concurrently with HandleFrame.
 func (a *Agent) SetSnapshotSource(src func() []byte) {
 	if src == nil {
 		a.snapSource.Store(nil)

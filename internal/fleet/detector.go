@@ -227,22 +227,25 @@ func (d *Detector) State(name string) MemberState {
 
 // Evict forces a member into the Evicted state (the publication path calls
 // this when a replica dies mid-transfer, without waiting for heartbeats to
-// reach the same verdict).
-func (d *Detector) Evict(name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.member(name).state = Evicted
-}
-
-// Revive restores a member to Alive (a join announcement: the replica is
-// provably talking).
-func (d *Detector) Revive(name string) {
+// reach the same verdict) and returns the state it replaced.
+func (d *Detector) Evict(name string) (prev MemberState) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	h := d.member(name)
-	h.state = Alive
+	prev, h.state = h.state, Evicted
+	return prev
+}
+
+// Revive restores a member to Alive (a join announcement: the replica is
+// provably talking) and returns the state it replaced.
+func (d *Detector) Revive(name string) (prev MemberState) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	h := d.member(name)
+	prev, h.state = h.state, Alive
 	h.misses, h.probes = 0, 0
 	h.resetWindow()
+	return prev
 }
 
 // Counts returns how many known members sit in each state.

@@ -57,33 +57,18 @@ func (r *Router) liveMembersSorted() []*member {
 // FleetStats slots carry router-level counters and the merged p99.
 func (r *Router) answerStats(conn netchaos.PacketConn, f *airproto.Frame, from *net.UDPAddr) {
 	merged, _ := r.FleetSnapshot()
-	data := make([]complex128, airproto.FleetStatsVectorLen)
-	ctr := func(slot int, name string) {
-		data[slot] = complex(float64(merged.Counters[name]), 0)
-	}
-	ctr(airproto.StatServed, "serve.served")
-	ctr(airproto.StatHeals, "serve.heals")
-	ctr(airproto.StatSwaps, "serve.swaps")
-	ctr(airproto.StatRollbacks, "serve.rollbacks")
-	ctr(airproto.StatCanaryRejects, "serve.canary_rejects")
-	ctr(airproto.StatShed, "serve.shed")
-	ctr(airproto.StatExpired, "serve.expired")
-	data[airproto.StatEpochSeq] = complex(float64(r.CurrentTid()), 0)
-
-	data[airproto.FleetStatLive] = complex(float64(len(r.liveMembersSorted())), 0)
-	data[airproto.FleetStatForwards] = complex(float64(forwardCount.Value()), 0)
-	data[airproto.FleetStatFailovers] = complex(float64(failoverCount.Value()), 0)
-	data[airproto.FleetStatHedgedWins] = complex(float64(hedgedWinCount.Value()), 0)
-	data[airproto.FleetStatShed] = complex(float64(shedCount.Value()), 0)
-	data[airproto.FleetStatExpired] = complex(float64(expiredCount.Value()), 0)
-	p99 := merged.Histograms["serve.request.seconds"].Quantile(0.99)
-	data[airproto.FleetStatP99Micros] = complex(p99*1e6, 0)
-	r.writeTo(conn, from, &airproto.Frame{
-		Kind: airproto.KindStats,
-		Code: airproto.StatsVersionFleet,
-		ID:   f.ID,
-		Data: data,
-	})
+	c := merged.Counters
+	r.writeTo(conn, from, airproto.StatsReply(f.ID, &airproto.Stats{
+		Served: c["serve.served"], Heals: c["serve.heals"], Swaps: c["serve.swaps"],
+		Rollbacks: c["serve.rollbacks"], CanaryRejects: c["serve.canary_rejects"],
+		Shed: c["serve.shed"], Expired: c["serve.expired"], EpochSeq: int64(r.CurrentTid()),
+		Fleet: &airproto.FleetStats{
+			Live: int64(len(r.liveMembersSorted())), Forwards: forwardCount.Value(),
+			Failovers: failoverCount.Value(), HedgedWins: hedgedWinCount.Value(),
+			Shed: shedCount.Value(), Expired: expiredCount.Value(),
+			P99Micros: merged.Histograms["serve.request.seconds"].Quantile(0.99) * 1e6,
+		},
+	}))
 }
 
 // answerTrace resolves a KindTrace fetch fleet-wide: the router's own
@@ -136,8 +121,8 @@ func (r *Router) answerTrace(conn netchaos.PacketConn, f *airproto.Frame, from *
 func (r *Router) fetchRemoteTrace(m *member, id uint64, code uint8) ([]byte, bool) {
 	req := airproto.TraceRequest(id)
 	req.Code = code
-	ch := r.await(req.ID)
-	defer r.settle(req.ID)
+	ch, settle := r.await(req.ID)
+	defer settle()
 	out, err := req.Marshal()
 	if err != nil {
 		return nil, false

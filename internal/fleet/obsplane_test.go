@@ -19,7 +19,7 @@ func serveAgent(t *testing.T, a *Agent) *net.UDPAddr { return serveReplica(t, a,
 // data with a reply func that sends a frame back to the frame's sender. The
 // reply func is safe to call from any goroutine, any number of times. With
 // data nil, data frames are dropped.
-func serveReplica(t *testing.T, a *Agent, data func(f *airproto.Frame, reply func(*airproto.Frame))) *net.UDPAddr {
+func serveReplica(t testing.TB, a *Agent, data func(f *airproto.Frame, reply func(*airproto.Frame))) *net.UDPAddr {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -60,7 +60,7 @@ func serveReplica(t *testing.T, a *Agent, data func(f *airproto.Frame, reply fun
 }
 
 // waitUntil polls cond for up to 10s.
-func waitUntil(t *testing.T, what string, cond func() bool) {
+func waitUntil(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for !cond() {

@@ -1,6 +1,9 @@
 package fleet
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ringVnodes is how many points each member contributes to the hash ring.
 // 64 keeps the per-member load spread within a few percent of uniform for
@@ -13,8 +16,7 @@ const ringVnodes = 64
 // dies, its traffic lands on the next member, and every other key's
 // placement is undisturbed.
 type Ring struct {
-	points  []ringPoint // sorted by hash
-	members map[string]struct{}
+	points []ringPoint // sorted by hash, ringVnodes per member
 }
 
 type ringPoint struct {
@@ -22,9 +24,7 @@ type ringPoint struct {
 	member string
 }
 
-func NewRing() *Ring {
-	return &Ring{members: make(map[string]struct{})}
-}
+func NewRing() *Ring { return &Ring{} }
 
 // mix64 is SplitMix64's finalizer — a cheap, well-distributed 64-bit mixer.
 func mix64(x uint64) uint64 {
@@ -48,10 +48,9 @@ func hashString(s string) uint64 {
 
 // Add inserts a member's vnodes; re-adding is a no-op.
 func (r *Ring) Add(member string) {
-	if _, ok := r.members[member]; ok {
+	if slices.ContainsFunc(r.points, func(p ringPoint) bool { return p.member == member }) {
 		return
 	}
-	r.members[member] = struct{}{}
 	base := hashString(member)
 	for v := 0; v < ringVnodes; v++ {
 		r.points = append(r.points, ringPoint{hash: mix64(base + uint64(v)*0x9e3779b97f4a7c15), member: member})
@@ -59,39 +58,8 @@ func (r *Ring) Add(member string) {
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
 }
 
-// Remove deletes a member and all its vnodes.
-func (r *Ring) Remove(member string) {
-	if _, ok := r.members[member]; !ok {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Has reports membership.
-func (r *Ring) Has(member string) bool {
-	_, ok := r.members[member]
-	return ok
-}
-
-// Members returns the member names in stable (sorted) order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the member count.
-func (r *Ring) Len() int { return len(r.members) }
+func (r *Ring) Len() int { return len(r.points) / ringVnodes }
 
 // Route returns up to n distinct members in ring order starting at key's
 // position — the preference list for a request: index 0 is the primary,
@@ -100,20 +68,14 @@ func (r *Ring) Route(key uint64, n int) []string {
 	if len(r.points) == 0 || n < 1 {
 		return nil
 	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
+	n = min(n, r.Len())
 	h := mix64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
 	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if _, dup := seen[p.member]; dup {
-			continue
+		if p := r.points[(start+i)%len(r.points)]; !slices.Contains(out, p.member) {
+			out = append(out, p.member)
 		}
-		seen[p.member] = struct{}{}
-		out = append(out, p.member)
 	}
 	return out
 }

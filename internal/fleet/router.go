@@ -145,7 +145,7 @@ type member struct {
 type Router struct {
 	cfg Config
 	det *Detector
-	up  *net.UDPConn // upstream socket: heartbeats + forwarded requests
+	up  netchaos.PacketConn // upstream socket: heartbeats + forwarded requests
 	// incar is this coordinator incarnation's random 32-bit nonce, stamped
 	// on every push chunk and compared against the nonce replicas report
 	// back. It must differ across process restarts (so it is NOT derived
@@ -154,17 +154,18 @@ type Router struct {
 	incar uint32
 
 	mu         sync.Mutex
-	ring       *Ring
+	ring       *Ring // every member met; the detector alone decides who is routable
 	members    map[string]*member
 	current    []byte // sealed epoch the fleet converges on (nil before the first publish)
 	currentTid uint32
 
-	pubMu  sync.Mutex // one publication (or fleet rollback) at a time
-	pubSeq atomic.Uint32
+	pubMu     sync.Mutex // one publication (or fleet rollback) at a time
+	pubSeq    atomic.Uint32
+	persistMu sync.Mutex // one journal write at a time, snapshot to rename
 
 	nextID atomic.Uint32
 	pendMu sync.Mutex
-	pend   map[uint32]chan *airproto.Frame
+	pend   map[uint32]pending
 
 	// fwdSeq numbers every forwarded request; with the client frame ID it
 	// derives the deterministic fleet.request trace ID. It bumps whether or
@@ -173,8 +174,17 @@ type Router struct {
 
 	inflight  atomic.Int64
 	stop      chan struct{}
+	closing   sync.RWMutex // forward timers act under its read lock; Close takes it for good
 	wg        sync.WaitGroup
 	closeOnce sync.Once
+}
+
+// pending is what a reply's frame ID resolves to: a forward's attempt, or
+// the channel a heartbeat or trace fetch waits on.
+type pending struct {
+	fw      *forwarding
+	attempt int
+	ch      chan *airproto.Frame
 }
 
 // newIncarnation draws a nonzero random 32-bit coordinator nonce. Entropy
@@ -196,15 +206,19 @@ func newIncarnation() uint32 {
 // membership; the incarnation nonce is ALWAYS drawn fresh (never restored),
 // so replicas still holding the previous incarnation's version mismatch
 // and anti-entropy re-converges them onto the journaled epoch.
-func NewRouter(cfg Config) (*Router, error) {
+func NewRouter(cfg Config) (*Router, error) { return newRouter(cfg, nil) }
+
+// newRouter is NewRouter over the given upstream socket (nil: bind one).
+func newRouter(cfg Config, up netchaos.PacketConn) (*Router, error) {
 	cfg = cfg.withDefaults()
 	r := &Router{
 		cfg:     cfg,
 		det:     NewDetector(cfg.Detector, rng.New(cfg.Seed^0xf1ee7)),
+		up:      up,
 		incar:   newIncarnation(),
 		ring:    NewRing(),
 		members: make(map[string]*member),
-		pend:    make(map[uint32]chan *airproto.Frame),
+		pend:    make(map[uint32]pending),
 		stop:    make(chan struct{}),
 	}
 	for _, rep := range cfg.Replicas {
@@ -222,11 +236,13 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err := r.restoreState(); err != nil {
 		return nil, err
 	}
-	up, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return nil, err
+	if r.up == nil {
+		udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			return nil, err
+		}
+		r.up = udp
 	}
-	r.up = up
 	r.wg.Add(2)
 	go r.upstreamLoop()
 	go r.heartbeatLoop()
@@ -283,13 +299,15 @@ func (r *Router) restoreState() error {
 // persistState journals the coordinator's core state durably with
 // checkpoint.WriteFile (temp file, fsync, rename, directory fsync), so a
 // crash leaves the old journal or the new one, never a short file that
-// restoreState would refuse. Failures are logged, not fatal: the fleet
-// keeps running on its in-memory state and the next mutation retries the
-// write.
+// restoreState would refuse. One call at a time snapshots and writes, so
+// the last write holds the newest state. Failures are logged, not fatal:
+// the fleet runs on its in-memory state and the next mutation retries.
 func (r *Router) persistState() {
 	if r.cfg.StateDir == "" {
 		return
 	}
+	r.persistMu.Lock()
+	defer r.persistMu.Unlock()
 	r.mu.Lock()
 	st := &checkpoint.FleetState{
 		PubSeq:     r.pubSeq.Load(),
@@ -310,6 +328,7 @@ func (r *Router) persistState() {
 // connection passed to Serve belongs to the caller.
 func (r *Router) Close() {
 	r.closeOnce.Do(func() {
+		r.closing.Lock() // never released: no forward timer acts once Close holds it
 		close(r.stop)
 		r.up.Close()
 	})
@@ -357,19 +376,17 @@ func (r *Router) MemberFleetSeq(name string) (uint64, bool) {
 	return m.fleetVer.Load() & 0xffffffff, true
 }
 
-// await registers a pending reply slot for frame id.
-func (r *Router) await(id uint32) chan *airproto.Frame {
-	ch := make(chan *airproto.Frame, 4)
+// await registers a pending reply slot for frame id; settle drops it.
+func (r *Router) await(id uint32) (ch chan *airproto.Frame, settle func()) {
+	ch = make(chan *airproto.Frame, 4)
 	r.pendMu.Lock()
-	r.pend[id] = ch
+	r.pend[id] = pending{ch: ch}
 	r.pendMu.Unlock()
-	return ch
-}
-
-func (r *Router) settle(id uint32) {
-	r.pendMu.Lock()
-	delete(r.pend, id)
-	r.pendMu.Unlock()
+	return ch, func() {
+		r.pendMu.Lock()
+		delete(r.pend, id)
+		r.pendMu.Unlock()
+	}
 }
 
 // newID returns a fresh nonzero upstream frame ID. Zero is reserved: a
@@ -395,19 +412,29 @@ func (r *Router) upstreamLoop() {
 		if err != nil {
 			return
 		}
-		f, err := airproto.Unmarshal(buf[:n])
-		if err != nil || f.ID == 0 {
-			continue
+		if f, err := airproto.Unmarshal(buf[:n]); err == nil && f.ID != 0 {
+			r.dispatch(f)
 		}
-		r.pendMu.Lock()
-		ch := r.pend[f.ID]
-		r.pendMu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- f:
-			default:
-			}
-		}
+	}
+}
+
+// dispatch hands one replica reply to whatever sent its frame ID. A forward
+// attempt's entry goes with its first reply, so a duplicate finds nothing.
+func (r *Router) dispatch(f *airproto.Frame) {
+	r.pendMu.Lock()
+	p := r.pend[f.ID]
+	if p.fw != nil {
+		delete(r.pend, f.ID)
+	}
+	r.pendMu.Unlock()
+	if fw := p.fw; fw != nil {
+		fw.mu.Lock()
+		fw.unlock(fw.result(p.attempt, f))
+		return
+	}
+	select {
+	case p.ch <- f: // a nil channel (no entry) never receives
+	default:
 	}
 }
 
@@ -457,8 +484,8 @@ func (r *Router) snapshotMembers() []*member {
 // sequence, which drives anti-entropy: a stale member gets a catch-up push.
 func (r *Router) heartbeat(m *member) {
 	id := r.newID()
-	ch := r.await(id)
-	defer r.settle(id)
+	ch, settle := r.await(id)
+	defer settle()
 	out, err := airproto.Heartbeat(id).Marshal()
 	if err != nil {
 		return
@@ -490,9 +517,9 @@ func (r *Router) heartbeat(m *member) {
 	}
 }
 
-// observeMember feeds one heartbeat outcome to the detector and reacts to
-// the eviction edge: the member leaves the ring (its keys redistribute) and
-// the event journal records the death.
+// observeMember feeds one heartbeat outcome to the detector and records
+// its eviction and recovery edges. Routing follows the detector's state on
+// its own: liveRoute skips members that are not Alive.
 func (r *Router) observeMember(m *member, ok bool) {
 	prev := r.det.State(m.name)
 	st := r.det.Observe(m.name, ok, time.Now())
@@ -500,26 +527,22 @@ func (r *Router) observeMember(m *member, ok bool) {
 		return
 	}
 	if st == Evicted {
-		r.evict(m, "missed heartbeats and all probes")
-	} else if prev == Evicted || (prev == Suspect && st == Alive) {
-		r.mu.Lock()
-		r.ring.Add(m.name)
-		r.mu.Unlock()
+		r.evicted(m, "missed heartbeats and all probes")
+	} else if st == Alive {
 		r.cfg.Logf("fleet: replica %s recovered (%s -> %s)", m.name, prev, st)
 	}
 }
 
-// evict removes a member from the routing ring (the record stays, so a
-// rejoin is cheap). Idempotent.
+// evict forces a member to Evicted, which takes it out of routing (the
+// record and its ring points stay, so a rejoin is cheap). Idempotent.
 func (r *Router) evict(m *member, why string) {
-	r.mu.Lock()
-	had := r.ring.Has(m.name)
-	r.ring.Remove(m.name)
-	r.mu.Unlock()
-	r.det.Evict(m.name)
-	if !had {
-		return
+	if r.det.Evict(m.name) != Evicted {
+		r.evicted(m, why)
 	}
+}
+
+// evicted records one member's eviction edge.
+func (r *Router) evicted(m *member, why string) {
 	evictedCount.Inc()
 	r.cfg.Logf("fleet: evicted replica %s: %s", m.name, why)
 	events.Default().Emit(events.FleetMember, "replica evicted",
@@ -589,18 +612,13 @@ func (r *Router) handleJoin(f *airproto.Frame, from *net.UDPAddr) {
 	if fresh {
 		m = &member{name: name, addr: from}
 		r.members[name] = m
-	}
-	inRing := r.ring.Has(name)
-	if !inRing {
 		r.ring.Add(name)
 	}
 	curTid := r.currentTid
 	r.mu.Unlock()
 
 	m.fleetVer.Store(uint64(fleetNonce)<<32 | fleetSeq)
-	prev := r.det.State(name)
-	r.det.Revive(name)
-	if fresh || !inRing || prev != Alive {
+	if prev := r.det.Revive(name); fresh || prev != Alive {
 		joinCount.Inc()
 		r.cfg.Logf("fleet: replica %s joined (reported epoch %d, fleet at %d)", name, fleetSeq, curTid)
 		events.Default().Emit(events.FleetMember, "replica joined",
@@ -609,7 +627,12 @@ func (r *Router) handleJoin(f *airproto.Frame, from *net.UDPAddr) {
 			events.Num("fleet_seq", float64(curTid)))
 	}
 	if fresh {
-		r.persistState()
+		// Off the client read loop, which sends every forward's first attempt.
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			r.persistState()
+		}()
 	}
 	r.maybeCatchUp(m)
 }
@@ -617,17 +640,11 @@ func (r *Router) handleJoin(f *airproto.Frame, from *net.UDPAddr) {
 // liveRoute returns up to n Alive members in ring order from key.
 func (r *Router) liveRoute(key uint64, n int) []*member {
 	r.mu.Lock()
-	names := r.ring.Route(key, r.ring.Len())
-	ms := make([]*member, 0, len(names))
-	for _, name := range names {
-		ms = append(ms, r.members[name])
-	}
-	r.mu.Unlock()
+	defer r.mu.Unlock()
 	out := make([]*member, 0, n)
-	for _, m := range ms {
-		if m != nil && r.det.State(m.name) == Alive {
-			out = append(out, m)
-			if len(out) == n {
+	for _, name := range r.ring.Route(key, r.ring.Len()) {
+		if r.det.State(name) == Alive {
+			if out = append(out, r.members[name]); len(out) == n {
 				break
 			}
 		}
@@ -636,14 +653,11 @@ func (r *Router) liveRoute(key uint64, n int) []*member {
 }
 
 // Live returns the number of members the detector currently routes to.
-func (r *Router) Live() int { return r.liveCount() }
-
-func (r *Router) liveCount() int {
+func (r *Router) Live() int {
 	r.mu.Lock()
-	names := r.ring.Members()
-	r.mu.Unlock()
+	defer r.mu.Unlock()
 	n := 0
-	for _, name := range names {
+	for name := range r.members {
 		if r.det.State(name) == Alive {
 			n++
 		}
@@ -653,15 +667,15 @@ func (r *Router) liveCount() int {
 
 // Serve answers client frames on conn until it is closed (the caller owns
 // shutdown, exactly like airServer.serve). Data requests are forwarded to
-// replicas; stats and trace requests are answered by the router itself
-// (fleet-merged counters, stitched cross-replica traces) on the control
-// plane, outside admission; joins update membership; everything else is
-// dropped. conn is any netchaos.PacketConn — a bare *net.UDPConn in
-// production, or a chaos-wrapped one when the front link itself is under
-// fault injection.
+// replicas; this loop sends each forward's first attempt. Stats and trace
+// requests are answered by the router itself (fleet-merged counters,
+// stitched cross-replica traces) on the control plane, outside admission;
+// joins update membership; everything else is dropped. conn is any
+// netchaos.PacketConn — a bare *net.UDPConn in production, or a
+// chaos-wrapped one when the front link itself is under fault injection.
 func (r *Router) Serve(conn netchaos.PacketConn) error {
 	// One read buffer for the socket's lifetime: Unmarshal copies the
-	// payload out, so nothing handed to a goroutine aliases it.
+	// payload out, so nothing a forward or a goroutine keeps aliases it.
 	buf := make([]byte, 65535)
 	for {
 		n, from, err := conn.ReadFromUDP(buf)
@@ -691,22 +705,7 @@ func (r *Router) Serve(conn netchaos.PacketConn) error {
 				}
 			}(f, from)
 		case airproto.KindData:
-			live := r.liveCount()
-			if live == 0 || r.inflight.Load() >= int64(r.cfg.InflightPerReplica*live) {
-				// Router-level load shedding: fleet health sets the cap, so
-				// a shrinking fleet sheds early instead of queueing forwards
-				// that will only time out.
-				shedCount.Inc()
-				r.writeTo(conn, from, airproto.Nack(f.ID, airproto.StatusDegraded, 0))
-				continue
-			}
-			r.inflight.Add(1)
-			r.wg.Add(1)
-			go func(f *airproto.Frame, from *net.UDPAddr) {
-				defer r.wg.Done()
-				defer r.inflight.Add(-1)
-				r.forward(conn, f, from)
-			}(f, from)
+			r.forward(conn, f, from)
 		}
 	}
 }
@@ -719,221 +718,252 @@ func (r *Router) writeTo(conn netchaos.PacketConn, to *net.UDPAddr, f *airproto.
 	}
 }
 
-// fwdResult is one forwarding attempt's outcome: the reply frame (nil on
-// timeout), the member that produced it, and the attempt's ordinal.
-type fwdResult struct {
-	f       *airproto.Frame
-	m       *member
-	attempt int
+// forwarding is one client request on its way through the fleet: Serve
+// starts it (forward), the upstream loop hands it each reply (dispatch),
+// and one timer fires its hedges and its deadline (fire). Decisions are
+// taken under mu; socket writes wait until mu is released. done is set
+// once, with the answer, so a reply landing inside its attempt's write, a
+// duplicate reply or a reply racing the timer cannot answer twice.
+type forwarding struct {
+	r        *Router
+	conn     netchaos.PacketConn
+	from     *net.UDPAddr
+	req      *airproto.Frame // the client's frame, under the client's ID
+	prefs    []*member       // candidates, primary first
+	expiry   time.Time       // the client's deadline budget, pinned on arrival (zero: none)
+	deadline time.Time       // when the router stops waiting: ForwardTimeout or the expiry
+	start    obs.Timer
+	root     *trace.Span
+
+	mu    sync.Mutex
+	timer *time.Timer
+	att   []attempt // cap len(prefs), so an append never moves one
+	open  int       // attempts sent and not yet settled
+	done  bool
 }
 
-// forward routes one client request: the consistent-hash preference list
-// for the client's address gives the primary and the failover order. A
-// degraded or retry-after NACK or an attempt timeout fails over to the
-// next candidate; a candidate that is merely slow gets hedged — the next
-// candidate launches in parallel after HedgeAfter, and whichever replies
-// first wins. The reply is rewritten back to the client's original frame
-// ID, so the translation is invisible: clients speak to the fleet as if it
-// were one server.
+// attempt i is the copy of the request sent to prefs[i].
+type attempt struct {
+	id   uint32 // upstream frame ID
+	hop  *trace.Span
+	open bool
+}
+
+// settle closes an open attempt and its hop span with an outcome.
+func (fw *forwarding) settle(a *attempt, outcome string) {
+	a.open, fw.open = false, fw.open-1
+	a.hop.SetStr("outcome", outcome)
+	a.hop.End()
+}
+
+// effect is the one socket write a decision leaves for after the lock:
+// attempt i's frame (nil if it would not marshal), or the client's answer.
+type effect struct {
+	to     *net.UDPAddr
+	out    []byte
+	i      int
+	answer *airproto.Frame
+}
+
+// forward starts routing one client request: the consistent-hash
+// preference list for the client's address gives the primary and the
+// failover order. A degraded or retry-after NACK fails over at once; a slow
+// candidate is hedged after HedgeAfter, and the first reply wins, going
+// back under the client's frame ID: clients see the fleet as one server.
 //
-// A data frame carrying a deadline budget has it pinned to an absolute
-// expiry on arrival and DECREMENTED across hops: every attempt re-stamps
-// the remaining budget, so a replica sees how much time the client
-// actually has left, not the original figure minus nothing. Once the
-// budget is gone the router stops launching attempts and answers
-// StatusExpired itself — hedging past a dead deadline only burns replica
-// capacity on work nobody will read.
+// A deadline budget is pinned to an absolute expiry on arrival, and every
+// attempt re-stamps what remains of it, so a replica sees how much time the
+// client actually has left. Once it is gone the router launches nothing
+// more and answers StatusExpired itself.
 func (r *Router) forward(conn netchaos.PacketConn, f *airproto.Frame, from *net.UDPAddr) {
-	t := obs.StartTimer()
-	prefs := r.liveRoute(hashString(from.String()), r.cfg.MaxAttempts)
-	if len(prefs) == 0 {
+	client := from.String()
+	prefs := r.liveRoute(hashString(client), r.cfg.MaxAttempts)
+	if len(prefs) == 0 || r.inflight.Load() >= int64(r.cfg.InflightPerReplica*r.Live()) {
+		// Router-level load shedding: fleet health sets the cap, so a
+		// shrinking fleet sheds early instead of queueing forwards that
+		// will only time out.
 		shedCount.Inc()
 		r.writeTo(conn, from, airproto.Nack(f.ID, airproto.StatusDegraded, 0))
 		return
 	}
-	// The fleet root span. Its trace ID derives from the client frame ID
-	// and a per-router forward ordinal (fwdSeq bumps whether or not tracing
-	// is armed): no rng is touched, and a disabled tracer returns nil spans
-	// whose methods are all no-ops. Each attempt gets a fleet.hop child;
-	// the forwarded frame carries (trace ID, hop span ID) so the replica's
-	// serve.request span parents under its hop.
-	tid := trace.Derive(0xf1ee70b5, uint64(f.ID), r.fwdSeq.Add(1))
-	root := r.cfg.Tracer.Start("fleet.request", tid)
-	root.SetStr("client", from.String())
-	hops := make([]*trace.Span, 0, len(prefs))
-	hopOpen := make([]bool, 0, len(prefs))
-	closeHop := func(attempt int, outcome string) {
-		if attempt < len(hops) && hopOpen[attempt] {
-			hops[attempt].SetStr("outcome", outcome)
-			hops[attempt].End()
-			hopOpen[attempt] = false
-		}
-	}
-	finishRoot := func(flags trace.Flags) {
-		for i := range hops {
-			closeHop(i, "cancelled")
-		}
-		root.SetNum("attempts", float64(len(hops)))
-		root.Finish(flags)
-	}
-	origID := f.ID
-	var expiry time.Time
+	r.inflight.Add(1)
+	now := time.Now()
+	fw := &forwarding{r: r, conn: conn, from: from, req: f, prefs: prefs,
+		deadline: now.Add(r.cfg.ForwardTimeout), start: obs.StartTimer(),
+		att: make([]attempt, 0, len(prefs))}
 	if d := f.Deadline(); d > 0 {
-		expiry = time.Now().Add(d)
+		// The client stops listening before we stop trying.
+		fw.expiry, fw.deadline = now.Add(d), now.Add(min(d, r.cfg.ForwardTimeout))
 	}
-	deadline := time.Now().Add(r.cfg.ForwardTimeout)
-	if !expiry.IsZero() && expiry.Before(deadline) {
-		deadline = expiry // the client stops listening before we stop trying
+	// Trace IDs derive from the client frame ID and a forward ordinal, never
+	// from rng; a disabled tracer returns nil spans, whose methods no-op.
+	fw.root = r.cfg.Tracer.Start("fleet.request", trace.Derive(0xf1ee70b5, uint64(f.ID), r.fwdSeq.Add(1)))
+	fw.root.SetStr("client", client)
+	fw.mu.Lock()
+	e := fw.launch(now)
+	fw.timer = time.AfterFunc(fw.nextFire(now), fw.fire)
+	if e.to == nil {
+		e = fw.giveUp(now) // budget already dead on arrival
 	}
-	resCh := make(chan fwdResult, len(prefs))
+	fw.unlock(e)
+}
 
-	// giveUp answers the client when no attempt can succeed anymore: an
-	// exhausted deadline budget is StatusExpired (with the lateness), an
-	// exhausted candidate list is StatusDegraded.
-	giveUp := func() {
-		if late := lateBy(expiry); late > 0 {
-			expiredCount.Inc()
-			root.SetStr("outcome", "expired")
-			finishRoot(trace.FlagError)
-			r.writeTo(conn, from, airproto.ExpiredNack(origID, late))
-			return
-		}
-		shedCount.Inc()
-		root.SetStr("outcome", "shed")
-		finishRoot(trace.FlagShed)
-		r.writeTo(conn, from, airproto.Nack(origID, airproto.StatusDegraded, 0))
-	}
-
-	next := 0
-	launch := func() bool {
-		if next >= len(prefs) {
-			return false
-		}
-		var remaining time.Duration
-		if !expiry.IsZero() {
-			if remaining = time.Until(expiry); remaining <= 0 {
-				return false
-			}
-		}
-		m := prefs[next]
-		attempt := next
-		next++
-		id := r.newID()
-		ch := r.await(id)
-		fwd := *f
-		fwd.ID = id
-		if remaining > 0 {
-			fwd.SetDeadline(remaining)
-		}
-		hop := root.Child("fleet.hop")
-		hop.SetStr("replica", m.name)
-		hop.SetNum("attempt", float64(attempt))
-		hops = append(hops, hop)
-		hopOpen = append(hopOpen, hop != nil)
-		// The hop carries the router's own trace context or none, never
-		// a context the client put on its frame.
-		fwd.Trace, fwd.ParentSpan = 0, 0
-		if root != nil {
-			fwd.Trace, fwd.ParentSpan = uint64(tid), uint64(hop.ID())
-		}
-		out, err := fwd.Marshal()
-		if err != nil {
-			resCh <- fwdResult{nil, m, attempt}
-			return true
-		}
-		forwardCount.Inc()
-		if _, err := r.up.WriteToUDP(out, m.addr); err != nil {
-			resCh <- fwdResult{nil, m, attempt}
-			return true
-		}
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer r.settle(id)
-			timer := time.NewTimer(time.Until(deadline))
-			defer timer.Stop()
-			select {
-			case resp := <-ch:
-				resCh <- fwdResult{resp, m, attempt}
-			case <-timer.C:
-				resCh <- fwdResult{nil, m, attempt}
-			case <-r.stop:
-				resCh <- fwdResult{nil, m, attempt}
-			}
-		}()
-		return true
-	}
-
-	if !launch() {
-		giveUp() // budget already dead on arrival
+// fire is the forward's timer: before the deadline it hedges the next
+// candidate; at the deadline every open attempt fails, and the last to fail
+// gives up. Once Close has begun it does nothing.
+func (fw *forwarding) fire() {
+	if !fw.r.closing.TryRLock() {
 		return
 	}
-	outstanding := 1
-	hedge := time.NewTimer(r.cfg.HedgeAfter)
-	defer hedge.Stop()
-	overall := time.NewTimer(time.Until(deadline))
-	defer overall.Stop()
-	for {
-		select {
-		case res := <-resCh:
-			outstanding--
-			failed := res.f == nil || (res.f.IsNack() &&
-				(res.f.Code == airproto.StatusDegraded || res.f.Code == airproto.StatusRetryAfter))
-			r.det.ReportForward(res.m.name, failed, time.Now())
-			if !failed {
-				// Success — or a fatal NACK (wrong length, bad frame, no
-				// trace, expired-at-the-replica), which is the client's
-				// answer too: relaying it beats a silent timeout.
-				reply := *res.f
-				reply.ID = origID
-				r.writeTo(conn, from, &reply)
-				if res.attempt > 0 {
-					hedgedWinCount.Inc()
-				}
-				t.ObserveInto(forwardSeconds)
-				closeHop(res.attempt, "won")
-				var flags trace.Flags
-				if res.f.IsNack() {
-					flags = trace.FlagNack
-				}
-				finishRoot(flags) // the losing hedged hops close as cancelled
-				return
+	defer fw.r.closing.RUnlock()
+	fw.mu.Lock()
+	var e effect
+	switch now := time.Now(); {
+	case fw.done:
+	case now.Before(fw.deadline):
+		e = fw.launch(now)
+		fw.timer.Reset(fw.nextFire(now))
+	default:
+		for i := range fw.att {
+			if x := fw.result(i, nil); x.answer != nil {
+				e = x
 			}
-			closeHop(res.attempt, "failed")
-			if res.f != nil {
-				// Explicit shed NACK: fail over immediately rather than
-				// waiting out the hedge timer.
-				if launch() {
-					failoverCount.Inc()
-					outstanding++
-				}
-			}
-			if outstanding == 0 {
-				giveUp()
-				return
-			}
-		case <-hedge.C:
-			if launch() {
-				outstanding++
-			}
-			hedge.Reset(r.cfg.HedgeAfter)
-		case <-overall.C:
-			giveUp()
-			return
-		case <-r.stop:
-			return
 		}
+	}
+	fw.unlock(e)
+}
+
+// nextFire is the wait until the next hedge, or until the deadline once no
+// candidate is left.
+func (fw *forwarding) nextFire(now time.Time) time.Duration {
+	if len(fw.att) < len(fw.prefs) {
+		return min(fw.r.cfg.HedgeAfter, fw.deadline.Sub(now))
+	}
+	return fw.deadline.Sub(now)
+}
+
+// unlock releases mu, then performs the decision's write. An attempt that
+// cannot be sent fails, which may give up.
+func (fw *forwarding) unlock(e effect) {
+	fw.mu.Unlock()
+	if e.to != nil {
+		if e.out != nil {
+			if _, err := fw.r.up.WriteToUDP(e.out, e.to); err == nil {
+				return
+			}
+		}
+		fw.mu.Lock()
+		fw.unlock(fw.result(e.i, nil))
+	} else if e.answer != nil {
+		fw.r.writeTo(fw.conn, fw.from, e.answer)
 	}
 }
 
-// lateBy reports how far past a nonzero expiry the clock is (0 when the
-// expiry is zero or still ahead).
-func lateBy(expiry time.Time) time.Duration {
-	if expiry.IsZero() {
-		return 0
+// launch builds the next candidate's attempt, unless the candidates or the
+// budget are spent. The attempt is registered before it is written, so its
+// reply may land while the write is still in progress. Callers hold mu, as
+// for every method below.
+func (fw *forwarding) launch(now time.Time) effect {
+	i, remaining := len(fw.att), fw.expiry.Sub(now)
+	if i == len(fw.prefs) || !fw.expiry.IsZero() && remaining <= 0 {
+		return effect{}
 	}
-	if late := time.Since(expiry); late > 0 {
-		return late
+	fwd := *fw.req
+	if !fw.expiry.IsZero() {
+		fwd.SetDeadline(remaining)
 	}
-	return 0
+	m := fw.prefs[i]
+	fwd.ID = fw.r.newID()
+	hop := fw.root.Child("fleet.hop")
+	hop.SetStr("replica", m.name)
+	hop.SetNum("attempt", float64(i))
+	// The hop carries the router's own trace context or none, never a
+	// context the client put on its frame.
+	fwd.Trace, fwd.ParentSpan = uint64(fw.root.TraceID()), uint64(hop.ID())
+	fw.att = append(fw.att, attempt{id: fwd.ID, hop: hop, open: true})
+	fw.open++
+	fw.r.pendMu.Lock()
+	fw.r.pend[fwd.ID] = pending{fw: fw, attempt: i}
+	fw.r.pendMu.Unlock()
+	out, err := fwd.Marshal()
+	if err == nil {
+		forwardCount.Inc()
+	}
+	return effect{to: m.addr, out: out, i: i}
+}
+
+// result takes attempt i's outcome: its reply f, or nil when it could not
+// be sent or the deadline passed. A success or a fatal NACK (wrong length,
+// bad frame, expired at the replica) is the client's answer; a shed NACK
+// fails over at once; when the last open attempt fails, the forward gives
+// up. A settled attempt, or an answered forward, takes nothing more.
+func (fw *forwarding) result(i int, f *airproto.Frame) effect {
+	a := &fw.att[i]
+	if fw.done || !a.open {
+		return effect{}
+	}
+	now := time.Now()
+	failed := f == nil || (f.IsNack() &&
+		(f.Code == airproto.StatusDegraded || f.Code == airproto.StatusRetryAfter))
+	fw.r.det.ReportForward(fw.prefs[i].name, failed, now)
+	if !failed {
+		answer := *f
+		answer.ID = fw.req.ID
+		if i > 0 {
+			hedgedWinCount.Inc()
+		}
+		fw.start.ObserveInto(forwardSeconds)
+		fw.settle(a, "won")
+		var flags trace.Flags
+		if f.IsNack() {
+			flags = trace.FlagNack
+		}
+		fw.finish(flags) // the losing hedged hops close as cancelled
+		return effect{answer: &answer}
+	}
+	fw.settle(a, "failed")
+	if f != nil {
+		if e := fw.launch(now); e.to != nil {
+			failoverCount.Inc()
+			return e
+		}
+	}
+	if fw.open > 0 {
+		return effect{}
+	}
+	return fw.giveUp(now)
+}
+
+// giveUp answers the client when no attempt can succeed anymore: an
+// exhausted deadline budget is StatusExpired (with the lateness), an
+// exhausted candidate list is StatusDegraded.
+func (fw *forwarding) giveUp(now time.Time) effect {
+	if !fw.expiry.IsZero() && !now.Before(fw.expiry) {
+		expiredCount.Inc()
+		fw.root.SetStr("outcome", "expired")
+		fw.finish(trace.FlagError)
+		return effect{answer: airproto.ExpiredNack(fw.req.ID, now.Sub(fw.expiry))}
+	}
+	shedCount.Inc()
+	fw.root.SetStr("outcome", "shed")
+	fw.finish(trace.FlagShed)
+	return effect{answer: airproto.Nack(fw.req.ID, airproto.StatusDegraded, 0)}
+}
+
+// finish marks the forward answered, stops its timer, drops its pending
+// entries so late replies find nothing, and closes open hops as cancelled.
+func (fw *forwarding) finish(flags trace.Flags) {
+	fw.done = true
+	fw.timer.Stop()
+	fw.r.pendMu.Lock()
+	for i := range fw.att {
+		delete(fw.r.pend, fw.att[i].id)
+		if fw.att[i].open {
+			fw.settle(&fw.att[i], "cancelled")
+		}
+	}
+	fw.r.pendMu.Unlock()
+	fw.root.SetNum("attempts", float64(len(fw.att)))
+	fw.root.Finish(flags)
+	fw.r.inflight.Add(-1)
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -313,4 +314,213 @@ func frames(fs []*airproto.Frame) []airproto.Frame {
 		out[i] = *f
 	}
 	return out
+}
+
+// memConn is an in-memory netchaos.PacketConn: a read takes the next
+// datagram queued on in (and fails once in is closed), and a write hands
+// its datagram to write.
+type memConn struct {
+	in    chan []byte
+	write func(b []byte) error
+	once  sync.Once
+}
+
+var memAddr = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+
+func (c *memConn) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) {
+	d, ok := <-c.in
+	if !ok {
+		return 0, nil, net.ErrClosed
+	}
+	return copy(b, d), memAddr, nil
+}
+
+func (c *memConn) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) {
+	if err := c.write(b); err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
+
+func (c *memConn) SetReadDeadline(time.Time) error { return nil }
+func (c *memConn) LocalAddr() net.Addr             { return memAddr }
+func (c *memConn) Close() error                    { c.once.Do(func() { close(c.in) }); return nil }
+
+// TestForwardAnswersOnceWhenReplyLandsInsideWrite: an upstream socket that
+// delivers each forwarded frame's reply before its write returns — once,
+// twice, or once and then failing the write — still gets every request
+// answered exactly once, with the replica's answer, and leaves no forward
+// in flight.
+func TestForwardAnswersOnceWhenReplyLandsInsideWrite(t *testing.T) {
+	const requests = 50
+	for _, tc := range []struct {
+		name    string
+		replies int
+		fail    bool
+	}{{"one reply", 1, false}, {"two replies", 2, false}, {"reply then failed write", 1, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var r *Router
+			up := &memConn{in: make(chan []byte), write: func(b []byte) error {
+				f, err := airproto.Unmarshal(b)
+				if err != nil || f.Kind != airproto.KindData {
+					return nil
+				}
+				for i := 0; i < tc.replies; i++ {
+					r.dispatch(&airproto.Frame{ID: f.ID, Label: 1, Data: []complex128{1}})
+				}
+				if tc.fail {
+					return errors.New("write failed after its reply landed")
+				}
+				return nil
+			}}
+			var err error
+			r, err = newRouter(Config{
+				Replicas:       []Replica{{Name: "a", Addr: "127.0.0.1:1"}, {Name: "b", Addr: "127.0.0.1:2"}},
+				HeartbeatEvery: time.Hour, // no heartbeats: the members stay Alive
+				Seed:           1,
+				Tracer:         &trace.Tracer{},
+			}, up)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers := make(chan *airproto.Frame, 2*requests)
+			client := &memConn{in: make(chan []byte, requests), write: func(b []byte) error {
+				f, err := airproto.Unmarshal(b)
+				if err != nil {
+					t.Errorf("undecodable answer: %v", err)
+					return nil
+				}
+				answers <- f
+				return nil
+			}}
+			served := make(chan error, 1)
+			go func() { served <- r.Serve(client) }()
+			t.Cleanup(func() { client.Close(); r.Close() }) // both idempotent
+			for id := uint32(1); id <= requests; id++ {
+				out, err := (&airproto.Frame{ID: id, Data: []complex128{1, 2}}).Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				client.in <- out
+			}
+			got := make(map[uint32]int)
+			for len(got) < requests {
+				select {
+				case f := <-answers:
+					if f.IsNack() || f.Label != 1 {
+						t.Fatalf("request %d answered %+v, want the replica's reply", f.ID, *f)
+					}
+					got[f.ID]++
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%d of %d requests answered", len(got), requests)
+				}
+			}
+			client.Close()
+			<-served // every answer is written on Serve's goroutine
+			r.Close()
+			for len(answers) > 0 {
+				got[(<-answers).ID]++
+			}
+			for id := uint32(1); id <= requests; id++ {
+				if got[id] != 1 {
+					t.Fatalf("request %d answered %d times, want once", id, got[id])
+				}
+			}
+			if n := r.inflight.Load(); n != 0 {
+				t.Fatalf("%d forwards still in flight", n)
+			}
+		})
+	}
+}
+
+// BenchmarkRouterForward times sequential round trips client → router →
+// stub replica → client over loopback, with the tracer off. Allocations
+// count the client, the router and the stub together.
+func BenchmarkRouterForward(b *testing.B) {
+	addr := serveReplica(b, NewAgent(nil), answer(1, 0, 1))
+	router, err := NewRouter(Config{
+		Replicas: []Replica{{Name: "a", Addr: addr.String()}},
+		Seed:     1,
+		Tracer:   &trace.Tracer{},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer router.Close()
+	front, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- router.Serve(front) }()
+	defer func() {
+		front.Close()
+		<-served
+	}()
+	client, err := net.DialUDP("udp", nil, front.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	req, err := (&airproto.Frame{ID: 1, Data: make([]complex128, 64)}).Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, airproto.MaxDatagram)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		client.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := client.Read(buf); err != nil {
+			b.Fatalf("round trip %d: %v", i, err)
+		}
+	}
+}
+
+// TestPersistStateKeepsNewest: concurrent persists, each after its own
+// membership and pubSeq change, leave a journal that a restarted router
+// restores as the newest state — every member and the last pubSeq. A
+// stale write landing last shows only in some interleavings, so the race
+// runs several rounds.
+func TestPersistStateKeepsNewest(t *testing.T) {
+	const rounds, writers = 8, 32
+	for round := 0; round < rounds; round++ {
+		dir := t.TempDir()
+		start := func() *Router {
+			up := &memConn{in: make(chan []byte), write: func([]byte) error { return nil }}
+			r, err := newRouter(Config{StateDir: dir, HeartbeatEvery: time.Hour, Seed: 1, Tracer: &trace.Tracer{}}, up)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		r := start()
+		var wg sync.WaitGroup
+		gate := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-gate // all at once, so snapshots and writes overlap
+				addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1000 + w}
+				r.mu.Lock()
+				r.members[addr.String()] = &member{name: addr.String(), addr: addr}
+				r.mu.Unlock()
+				r.pubSeq.Add(1)
+				r.persistState()
+			}()
+		}
+		close(gate)
+		wg.Wait()
+		r.Close()
+		restored := start()
+		members, pubSeq := len(restored.Members()), restored.pubSeq.Load()
+		restored.Close()
+		if members != writers || pubSeq != writers {
+			t.Fatalf("round %d restored %d members at pubSeq %d, want %d at %d", round, members, pubSeq, writers, writers)
+		}
+	}
 }
