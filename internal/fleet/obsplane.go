@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net"
 	"sort"
-	"time"
 
 	"repro/internal/airproto"
 	"repro/internal/netchaos"
@@ -95,7 +94,7 @@ func (r *Router) answerTrace(conn netchaos.PacketConn, f *airproto.Frame, from *
 		for _, seen := range hopDocs {
 			dup = dup || bytes.Equal(doc, seen)
 		}
-		if !dup { // a late duplicate reply can smear across fan-out slots
+		if !dup { // members sharing one process's tracer return one document
 			hopDocs = append(hopDocs, doc)
 		}
 	}
@@ -113,39 +112,18 @@ func (r *Router) answerTrace(conn netchaos.PacketConn, f *airproto.Frame, from *
 	r.writeTo(conn, from, airproto.TraceReply(f.ID, doc))
 }
 
-// fetchRemoteTrace pulls one replica's segment of a trace over the
-// upstream socket. KindTrace replies echo the trace ID's low half as the
-// frame ID (the 64-bit ID rides ID+Label), so the exchange registers on
-// that — and because every replica's reply shares it, the fan-out runs
-// one member at a time.
+// fetchRemoteTrace pulls one replica's segment of a trace with one call.
+// KindTrace replies echo the trace ID's low half as the frame ID (the
+// 64-bit ID rides ID+Label), the same for every replica; the call's key
+// adds the replica's address.
 func (r *Router) fetchRemoteTrace(m *member, id uint64, code uint8) ([]byte, bool) {
 	req := airproto.TraceRequest(id)
 	req.Code = code
-	ch, settle := r.await(req.ID)
-	defer settle()
-	out, err := req.Marshal()
-	if err != nil {
-		return nil, false
+	f := r.call(m, req, r.cfg.HeartbeatTimeout, func(f *airproto.Frame) bool {
+		return f.IsNack() || f.Kind == airproto.KindTrace && len(f.Payload) > 0
+	})
+	if f == nil || f.IsNack() {
+		return nil, false // StatusNoTrace: this replica holds no segment
 	}
-	if _, err := r.up.WriteToUDP(out, m.addr); err != nil {
-		return nil, false
-	}
-	timer := time.NewTimer(r.cfg.HeartbeatTimeout)
-	defer timer.Stop()
-	for {
-		select {
-		case f := <-ch:
-			if f.IsNack() {
-				return nil, false // StatusNoTrace: this replica holds no segment
-			}
-			if f.Kind != airproto.KindTrace || len(f.Payload) == 0 {
-				continue // stale datagram matched the ID; keep waiting
-			}
-			return f.Payload, true
-		case <-timer.C:
-			return nil, false
-		case <-r.stop:
-			return nil, false
-		}
-	}
+	return f.Payload, true
 }

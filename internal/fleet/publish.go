@@ -3,7 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"net"
+	"sync"
 	"time"
 
 	"repro/internal/airproto"
@@ -101,41 +101,8 @@ func (r *Router) Publish(sealed []byte) error {
 	}
 
 	// Canary holds the new epoch; fan out to the rest in parallel.
-	type outcome struct {
-		m        *member
-		rejected bool
-		err      error
-	}
-	results := make(chan outcome, len(order)-1)
-	for _, m := range order[1:] {
-		m := m
-		go func() {
-			a, err := r.pushEpoch(m, tid, sealed, airproto.PushCommit)
-			if err != nil {
-				results <- outcome{m: m, err: err}
-				return
-			}
-			results <- outcome{m: m, rejected: a.Code != airproto.AckApplied}
-		}()
-	}
-	rejected := false
-	applied := 1 // the canary
-	for range order[1:] {
-		res := <-results
-		switch {
-		case res.err != nil:
-			// Dead mid-publish: evict and continue — the survivors converge
-			// now, the corpse catches up when it rejoins.
-			r.evict(res.m, fmt.Sprintf("unreachable during publish %d: %v", tid, res.err))
-		case res.rejected:
-			rejected = true
-			r.cfg.Logf("fleet: replica %s refused epoch %d during fan-out", res.m.name, ep.Seq)
-		default:
-			res.m.fleetVer.Store(r.ver(tid))
-			applied++
-		}
-	}
-	if rejected {
+	applied, refused := r.pushAll(order[1:], tid, sealed, airproto.PushCommit)
+	if refused > 0 {
 		// A live replica refused what the canary accepted: the epoch cannot
 		// be trusted anywhere. Converge everyone back on the prior one.
 		events.Default().EmitTraced(pid, events.FleetPublish, "fan-out refusal, rolling fleet back",
@@ -154,8 +121,8 @@ func (r *Router) Publish(sealed []byte) error {
 	events.Default().EmitTraced(pid, events.FleetPublish, "epoch replicated fleet-wide",
 		events.Num("epoch_seq", float64(ep.Seq)),
 		events.Num("fleet_seq", float64(tid)),
-		events.Num("replicas", float64(applied)))
-	r.cfg.Logf("fleet: epoch %d committed fleet-wide as seq %d (%d replicas)", ep.Seq, tid, applied)
+		events.Num("replicas", float64(applied+1)))
+	r.cfg.Logf("fleet: epoch %d committed fleet-wide as seq %d (%d replicas)", ep.Seq, tid, applied+1)
 	return nil
 }
 
@@ -165,25 +132,8 @@ func (r *Router) rollbackFleet(sealed []byte, pid trace.ID) {
 	rtid := r.pubSeq.Add(1)
 	rollbackCount.Inc()
 	order := r.liveRoute(uint64(rtid), 1<<16)
-	done := make(chan struct{}, len(order))
-	for _, m := range order {
-		m := m
-		go func() {
-			defer func() { done <- struct{}{} }()
-			ack, err := r.pushEpoch(m, rtid, sealed, airproto.PushRollback)
-			if err != nil {
-				r.evict(m, fmt.Sprintf("unreachable during rollback %d: %v", rtid, err))
-				return
-			}
-			if ack.Code != airproto.AckApplied {
-				r.cfg.Logf("fleet: replica %s refused ROLLBACK epoch (seq %d) — manual intervention needed", m.name, rtid)
-				return
-			}
-			m.fleetVer.Store(r.ver(rtid))
-		}()
-	}
-	for range order {
-		<-done
+	if _, refused := r.pushAll(order, rtid, sealed, airproto.PushRollback); refused > 0 {
+		r.cfg.Logf("fleet: %d replicas refused the ROLLBACK epoch (seq %d) — manual intervention needed", refused, rtid)
 	}
 	r.mu.Lock()
 	r.current = sealed
@@ -196,62 +146,67 @@ func (r *Router) rollbackFleet(sealed []byte, pid trace.ID) {
 	r.cfg.Logf("fleet: rolled %d replicas back to the prior epoch as seq %d", len(order), rtid)
 }
 
-// pushEpoch streams one sealed epoch to a member as transfer tid: chunked
-// stop-and-wait over a dedicated socket, PublishRetries sends per chunk,
-// PublishTimeout per ack. It returns the completing ack (AckApplied or
-// AckRejected). An error means the member never finished the transfer.
+// pushAll pushes one sealed epoch to every member of ms at once, as
+// transfer tid in the given mode, and waits for every push to end. A member
+// that never finishes the transfer is evicted (it catches up through
+// anti-entropy once it rejoins), and one that applies it reports tid as its
+// fleet version. It returns how many applied and how many refused.
+func (r *Router) pushAll(ms []*member, tid uint32, sealed []byte, mode uint8) (applied, refused int) {
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, m := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ack, err := r.pushEpoch(m, tid, sealed, mode)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err != nil:
+				r.evict(m, fmt.Sprintf("unreachable during transfer %d: %v", tid, err))
+			case ack.Code != airproto.AckApplied:
+				refused++
+				r.cfg.Logf("fleet: replica %s refused transfer %d (push mode %d)", m.name, tid, mode)
+			default:
+				m.fleetVer.Store(r.ver(tid))
+				applied++
+			}
+		}()
+	}
+	wg.Wait()
+	return applied, refused
+}
+
+// pushEpoch streams one sealed epoch to a member as transfer tid, chunk by
+// chunk, each chunk one call on the upstream socket: up to PublishRetries
+// sends, each waiting PublishTimeout. A chunk's call takes the ack for that
+// chunk, or a completing verdict (AckApplied or AckRejected) that echoes
+// this incarnation's nonce — possibly early: a duplicate transfer the
+// replica already finished, or a mid-stream rejection. A verdict echoing
+// another nonce is a stale cache answer about different bytes. pushEpoch
+// returns the completing verdict; an error means the member never finished
+// the transfer.
 func (r *Router) pushEpoch(m *member, tid uint32, sealed []byte, mode uint8) (*airproto.Frame, error) {
 	frames, err := Chunks(tid, mode, sealed, r.cfg.ChunkBytes, r.incar)
 	if err != nil {
 		return nil, err
 	}
-	sock, err := net.DialUDP("udp", nil, m.addr)
-	if err != nil {
-		return nil, err
-	}
-	defer sock.Close()
-	buf := make([]byte, 65535)
 	for i, fr := range frames {
-		out, err := fr.Marshal()
-		if err != nil {
-			return nil, err
+		takes := func(f *airproto.Frame) bool {
+			idx, _, nonce := f.AckInfo()
+			return f.Kind == airproto.KindEpochAck &&
+				(f.Code == airproto.AckChunk && idx == i || f.Code != airproto.AckChunk && nonce == r.incar)
 		}
-		acked := false
-		for attempt := 0; attempt < r.cfg.PublishRetries && !acked; attempt++ {
-			if _, err := sock.Write(out); err != nil {
-				return nil, err
-			}
+		var ack *airproto.Frame
+		for attempt := 0; attempt < r.cfg.PublishRetries && ack == nil; attempt++ {
 			chunkCount.Inc()
-			if err := sock.SetReadDeadline(time.Now().Add(r.cfg.PublishTimeout)); err != nil {
-				return nil, err
-			}
-			for !acked {
-				n, err := sock.Read(buf)
-				if err != nil {
-					break // timeout: resend this chunk
-				}
-				af, err := airproto.Unmarshal(buf[:n])
-				if err != nil || af.Kind != airproto.KindEpochAck || af.ID != tid {
-					continue // stray datagram: keep reading within the deadline
-				}
-				if af.Code != airproto.AckChunk {
-					// The completing verdict — possibly early (a duplicate
-					// transfer the replica already finished, or a mid-stream
-					// rejection). Final only if it is about THIS
-					// incarnation's transfer: a verdict echoing another
-					// nonce is a stale cache answer about different bytes.
-					if _, _, nonce := af.AckInfo(); nonce != r.incar {
-						continue
-					}
-					return af, nil
-				}
-				if idx, _, _ := af.AckInfo(); idx == i {
-					acked = true
-				}
-			}
+			ack = r.call(m, fr, r.cfg.PublishTimeout, takes)
 		}
-		if !acked {
+		if ack == nil {
 			return nil, fmt.Errorf("no ack for chunk %d/%d after %d attempts", i+1, len(frames), r.cfg.PublishRetries)
+		}
+		if ack.Code != airproto.AckChunk {
+			return ack, nil
 		}
 	}
 	return nil, fmt.Errorf("transfer %d fully acked but never completed", tid)

@@ -13,8 +13,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -145,7 +147,7 @@ type member struct {
 type Router struct {
 	cfg Config
 	det *Detector
-	up  netchaos.PacketConn // upstream socket: heartbeats + forwarded requests
+	up  netchaos.PacketConn // upstream socket: every exchange with a replica
 	// incar is this coordinator incarnation's random 32-bit nonce, stamped
 	// on every push chunk and compared against the nonce replicas report
 	// back. It must differ across process restarts (so it is NOT derived
@@ -165,7 +167,9 @@ type Router struct {
 
 	nextID atomic.Uint32
 	pendMu sync.Mutex
-	pend   map[uint32]pending
+	pend   map[uint32]pending // forward attempts by upstream frame ID
+	callMu sync.Mutex
+	calls  map[callKey][]*waiter
 
 	// fwdSeq numbers every forwarded request; with the client frame ID it
 	// derives the deterministic fleet.request trace ID. It bumps whether or
@@ -179,12 +183,31 @@ type Router struct {
 	closeOnce sync.Once
 }
 
-// pending is what a reply's frame ID resolves to: a forward's attempt, or
-// the channel a heartbeat or trace fetch waits on.
+// pending is the forward attempt a data reply's frame ID resolves to.
 type pending struct {
 	fw      *forwarding
 	attempt int
-	ch      chan *airproto.Frame
+}
+
+// callKey is what a reply to a call matches on: the replica's address and
+// the frame ID the reply echoes. Every replica answers a trace fetch or a
+// push chunk under the same ID, so the ID alone cannot tell them apart.
+type callKey struct {
+	addr netip.AddrPort
+	id   uint32
+}
+
+// keyOf keys a reply from addr. ReadFromUDP may report an IPv4 source as a
+// 16-byte address, so the address is unmapped.
+func keyOf(addr *net.UDPAddr, id uint32) callKey {
+	ap := addr.AddrPort()
+	return callKey{netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), id}
+}
+
+// waiter is one blocked call: the replies it takes, and the first of them.
+type waiter struct {
+	accept func(*airproto.Frame) bool
+	got    chan *airproto.Frame // buffered 1
 }
 
 // newIncarnation draws a nonzero random 32-bit coordinator nonce. Entropy
@@ -219,6 +242,7 @@ func newRouter(cfg Config, up netchaos.PacketConn) (*Router, error) {
 		ring:    NewRing(),
 		members: make(map[string]*member),
 		pend:    make(map[uint32]pending),
+		calls:   make(map[callKey][]*waiter),
 		stop:    make(chan struct{}),
 	}
 	for _, rep := range cfg.Replicas {
@@ -376,19 +400,6 @@ func (r *Router) MemberFleetSeq(name string) (uint64, bool) {
 	return m.fleetVer.Load() & 0xffffffff, true
 }
 
-// await registers a pending reply slot for frame id; settle drops it.
-func (r *Router) await(id uint32) (ch chan *airproto.Frame, settle func()) {
-	ch = make(chan *airproto.Frame, 4)
-	r.pendMu.Lock()
-	r.pend[id] = pending{ch: ch}
-	r.pendMu.Unlock()
-	return ch, func() {
-		r.pendMu.Lock()
-		delete(r.pend, id)
-		r.pendMu.Unlock()
-	}
-}
-
 // newID returns a fresh nonzero upstream frame ID. Zero is reserved: a
 // replica's unattributable bad-frame NACK carries ID 0 and must never match
 // a pending exchange.
@@ -400,26 +411,88 @@ func (r *Router) newID() uint32 {
 	}
 }
 
-// upstreamLoop dispatches every replica reply to its pending exchange by
-// frame ID — the reverse half of the router's NAT: replies come back on the
-// shared upstream socket and are matched to whichever forward or heartbeat
-// sent them.
+// call sends req to m on the upstream socket and waits up to wait for m's
+// reply to it: the first frame from m's address under req's ID that accept
+// takes (nil takes any). It returns nil when the write fails, the wait runs
+// out or the router closes.
+func (r *Router) call(m *member, req *airproto.Frame, wait time.Duration, accept func(*airproto.Frame) bool) *airproto.Frame {
+	out, err := req.Marshal()
+	if err != nil {
+		return nil
+	}
+	k, w := keyOf(m.addr, req.ID), &waiter{accept: accept, got: make(chan *airproto.Frame, 1)}
+	r.callMu.Lock()
+	r.calls[k] = append(r.calls[k], w)
+	r.callMu.Unlock()
+	defer func() {
+		r.callMu.Lock()
+		if ws := slices.DeleteFunc(r.calls[k], func(x *waiter) bool { return x == w }); len(ws) > 0 {
+			r.calls[k] = ws
+		} else {
+			delete(r.calls, k)
+		}
+		r.callMu.Unlock()
+	}()
+	if _, err := r.up.WriteToUDP(out, m.addr); err != nil {
+		return nil
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case f := <-w.got:
+		return f
+	case <-timer.C:
+	case <-r.stop:
+	}
+	return nil
+}
+
+// upstreamLoop hands every replica reply to whatever sent it — the reverse
+// half of the router's NAT. Only calls send heartbeats, trace fetches and
+// push chunks, and only a trace fetch earns StatusNoTrace: those replies go
+// to the call waiting on their sender and frame ID. Anything else, a data
+// reply above all, goes to the forward attempt that owns its frame ID.
 func (r *Router) upstreamLoop() {
 	defer r.wg.Done()
 	buf := make([]byte, 65535)
 	for {
-		n, _, err := r.up.ReadFromUDP(buf)
+		n, from, err := r.up.ReadFromUDP(buf)
 		if err != nil {
 			return
 		}
-		if f, err := airproto.Unmarshal(buf[:n]); err == nil && f.ID != 0 {
+		f, err := airproto.Unmarshal(buf[:n])
+		if err != nil || f.ID == 0 {
+			continue
+		}
+		switch {
+		case f.Kind == airproto.KindHeartbeat, f.Kind == airproto.KindTrace, f.Kind == airproto.KindEpochAck,
+			f.IsNack() && f.Code == airproto.StatusNoTrace:
+			r.deliver(from, f)
+		default:
 			r.dispatch(f)
 		}
 	}
 }
 
-// dispatch hands one replica reply to whatever sent its frame ID. A forward
-// attempt's entry goes with its first reply, so a duplicate finds nothing.
+// deliver hands a call's reply to the first call waiting on its sender and
+// frame ID that takes it and has no reply yet.
+func (r *Router) deliver(from *net.UDPAddr, f *airproto.Frame) {
+	r.callMu.Lock()
+	defer r.callMu.Unlock()
+	for _, w := range r.calls[keyOf(from, f.ID)] {
+		if w.accept == nil || w.accept(f) {
+			select {
+			case w.got <- f:
+				return
+			default: // answered already
+			}
+		}
+	}
+}
+
+// dispatch hands one data-plane reply to the forward attempt that sent its
+// frame ID. The entry goes with its first reply, so a duplicate finds
+// nothing.
 func (r *Router) dispatch(f *airproto.Frame) {
 	r.pendMu.Lock()
 	p := r.pend[f.ID]
@@ -430,11 +503,6 @@ func (r *Router) dispatch(f *airproto.Frame) {
 	if fw := p.fw; fw != nil {
 		fw.mu.Lock()
 		fw.unlock(fw.result(p.attempt, f))
-		return
-	}
-	select {
-	case p.ch <- f: // a nil channel (no entry) never receives
-	default:
 	}
 }
 
@@ -479,42 +547,33 @@ func (r *Router) snapshotMembers() []*member {
 	return out
 }
 
-// heartbeat runs one liveness exchange with a member and feeds the outcome
-// to the detector. A live reply also carries the member's replicated-epoch
+// heartbeat runs one liveness call to a member and feeds the outcome to
+// the detector. A live reply also carries the member's replicated-epoch
 // sequence, which drives anti-entropy: a stale member gets a catch-up push.
 func (r *Router) heartbeat(m *member) {
-	id := r.newID()
-	ch, settle := r.await(id)
-	defer settle()
-	out, err := airproto.Heartbeat(id).Marshal()
-	if err != nil {
-		return
+	f := r.call(m, airproto.Heartbeat(r.newID()), r.cfg.HeartbeatTimeout, nil)
+	select {
+	case <-r.stop:
+		return // closing: no verdict
+	default:
 	}
-	if _, err := r.up.WriteToUDP(out, m.addr); err != nil {
+	if f == nil {
 		r.observeMember(m, false)
 		return
 	}
-	timer := time.NewTimer(r.cfg.HeartbeatTimeout)
-	defer timer.Stop()
-	select {
-	case f := <-ch:
-		if seq, nonce, ok := f.FleetVersion(); ok && f.Kind == airproto.KindHeartbeat {
-			m.fleetVer.Store(uint64(nonce)<<32 | seq)
-			// The reply may piggyback the replica's obs snapshot. A blob
-			// mangled in flight fails its CRC and is simply skipped — the
-			// member's last good snapshot stands until a clean one lands.
-			if blob := f.Snapshot(); blob != nil {
-				if snap, err := obs.DecodeSnapshot(blob); err == nil {
-					m.snap.Store(&snap)
-				}
+	if seq, nonce, ok := f.FleetVersion(); ok && f.Kind == airproto.KindHeartbeat {
+		m.fleetVer.Store(uint64(nonce)<<32 | seq)
+		// The reply may piggyback the replica's obs snapshot. A blob
+		// mangled in flight fails its CRC and is simply skipped — the
+		// member's last good snapshot stands until a clean one lands.
+		if blob := f.Snapshot(); blob != nil {
+			if snap, err := obs.DecodeSnapshot(blob); err == nil {
+				m.snap.Store(&snap)
 			}
 		}
-		r.observeMember(m, true)
-		r.maybeCatchUp(m)
-	case <-timer.C:
-		r.observeMember(m, false)
-	case <-r.stop:
 	}
+	r.observeMember(m, true)
+	r.maybeCatchUp(m)
 }
 
 // observeMember feeds one heartbeat outcome to the detector and records

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/airproto"
+	"repro/internal/netchaos"
 	"repro/internal/obs/trace"
 )
 
@@ -523,4 +524,117 @@ func TestPersistStateKeepsNewest(t *testing.T) {
 			t.Fatalf("round %d restored %d members at pubSeq %d, want %d at %d", round, members, pubSeq, writers, writers)
 		}
 	}
+}
+
+// recvFrame takes the next datagram queued at e.
+func recvFrame(t *testing.T, e *memEnd) (*airproto.Frame, *net.UDPAddr) {
+	t.Helper()
+	select {
+	case p := <-e.in:
+		f, err := airproto.Unmarshal(p.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, p.from
+	case <-time.After(5 * time.Second):
+		t.Fatalf("nothing arrived at %v", e.addr)
+	}
+	return nil, nil
+}
+
+// memRouter starts a router, heartbeats off so its members stay Alive, over
+// an in-memory upstream socket to the given replica endpoints.
+func memRouter(t *testing.T, n *memNet, up int, reps ...*memEnd) *Router {
+	t.Helper()
+	var replicas []Replica
+	for _, e := range reps {
+		replicas = append(replicas, Replica{Name: e.addr.String(), Addr: e.addr.String()})
+	}
+	r, err := newRouter(Config{Replicas: replicas, HeartbeatEvery: time.Hour, Seed: 1, Tracer: &trace.Tracer{}},
+		n.listen(memAddrOf(up)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	return r
+}
+
+// TestCallMatchesSenderAndKind pins how a replica's reply finds its waiter.
+// Every replica answers a trace fetch under the same frame ID, so two
+// concurrent fetches must each get their own replica's document. And a
+// push's transfer sequence can equal a live forward's frame ID, so a data
+// reply and an EpochAck under that ID must each reach only their own
+// waiter: the data reply the forward, the ack the push chunk's call.
+func TestCallMatchesSenderAndKind(t *testing.T) {
+	n := newMemNet(0, netchaos.Rates{}, nil)
+	t.Run("fan-out", func(t *testing.T) {
+		a, b := n.listen(memAddrOf(7100)), n.listen(memAddrOf(7101))
+		r := memRouter(t, n, 9100, a, b)
+		docs := make([][]byte, 2)
+		var wg sync.WaitGroup
+		for i, e := range []*memEnd{a, b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				docs[i], _ = r.fetchRemoteTrace(r.members[e.addr.String()], 0x5eed_0000_51ab, 0)
+			}()
+		}
+		// Once both requests have arrived both calls wait; b answers first.
+		fa, toA := recvFrame(t, a)
+		fb, toB := recvFrame(t, b)
+		if fa.ID != fb.ID {
+			t.Fatalf("fetches went out as frames %d and %d, want one ID", fa.ID, fb.ID)
+		}
+		b.write(airproto.TraceReply(fb.ID, []byte("from b")), toB)
+		a.write(airproto.TraceReply(fa.ID, []byte("from a")), toA)
+		wg.Wait()
+		if string(docs[0]) != "from a" || string(docs[1]) != "from b" {
+			t.Fatalf("fetches from a and b got %q and %q", docs[0], docs[1])
+		}
+	})
+	t.Run("data reply and epoch ack", func(t *testing.T) {
+		a := n.listen(memAddrOf(7200))
+		r := memRouter(t, n, 9200, a)
+		front, client := n.listen(memAddrOf(8200)), n.listen(memAddrOf(8201))
+		served := make(chan error, 1)
+		go func() { served <- r.Serve(front) }()
+		defer func() { front.Close(); <-served }()
+		for _, ackFirst := range []bool{true, false} {
+			tid := r.nextID.Load() + 1 // the forward's attempt goes out under the next ID
+			client.write(&airproto.Frame{ID: 5, Data: []complex128{1, 2}}, front.addr)
+			fwd, toA := recvFrame(t, a)
+			if fwd.Kind != airproto.KindData || fwd.ID != tid {
+				t.Fatalf("forward went out as %+v, want a data frame under ID %d", *fwd, tid)
+			}
+			verdict := make(chan *airproto.Frame, 1)
+			go func() {
+				ack, _ := r.pushEpoch(r.members[a.addr.String()], tid, []byte("epoch"), airproto.PushCommit)
+				verdict <- ack
+			}()
+			if chunk, _ := recvFrame(t, a); chunk.Kind != airproto.KindEpochPush || chunk.ID != tid {
+				t.Fatalf("push went out as %+v, want a chunk of transfer %d", *chunk, tid)
+			}
+			replies := []*airproto.Frame{
+				airproto.EpochAck(tid, 0, airproto.AckApplied, 1, r.incar),
+				{ID: tid, Label: 7, Data: []complex128{1}},
+			}
+			if !ackFirst {
+				replies[0], replies[1] = replies[1], replies[0]
+			}
+			for _, f := range replies {
+				a.write(f, toA)
+			}
+			if ack := <-verdict; ack == nil || ack.Kind != airproto.KindEpochAck || ack.Code != airproto.AckApplied {
+				t.Fatalf("push returned %+v, want the replica's AckApplied", ack)
+			}
+			if got, _ := recvFrame(t, client); got.Kind != airproto.KindData || got.ID != 5 || got.Label != 7 {
+				t.Fatalf("client got %+v, want the replica's data reply to request 5", *got)
+			}
+			select {
+			case p := <-client.in:
+				t.Fatalf("client got a second answer: %x", p.b)
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+	})
 }
