@@ -125,17 +125,21 @@ fleetbench:
 # every failure mode still fires, in about two seconds — plus, under -race,
 # the router's forward pins: failover on an explicit NACK, a hedged slow
 # primary, StatusExpired on a dead budget, StatusDegraded once every
-# replica NACKs, exactly one answer per request when replicas reply twice,
-# and exactly one answer when an in-memory upstream delivers each reply
-# inside its attempt's write (once, twice, or before the write fails); the
-# pin that a reply reaches only the call or forward it answers; and the
-# seed sweep, whose -short run covers 32 seeds of the shipped router over
-# an in-memory chaos network with real agents, asserting one answer per
-# request, convergence, no fall below a committed version, and applied
-# epochs that were published.
+# replica NACKs, replicas still routable after both NACK a burst
+# (TestForwardKeepsReplicasRoutableAfterNackBurst), exactly one answer per
+# request when replicas reply twice, and exactly one answer when an
+# in-memory upstream delivers each reply inside its attempt's write (once,
+# twice, or before the write fails); the pin that a reply reaches only the
+# call or forward it answers; the agent's replication rules, among them a
+# catch-up re-applying a transfer the agent moved off
+# (TestAgentCatchUpReappliesMovedOffTransfer); and the seed sweep, whose
+# -short run covers 32 seeds of the shipped router over an in-memory chaos
+# network with real agents, asserting one answer per request, convergence
+# after every publication and at the end, no fall below a committed
+# version, and applied epochs that were published.
 fleetgate:
 	$(GO) test -race -count=1 -run 'TestFleetBench' -short ./cmd/metaai-serve
-	$(GO) test -race -count=1 -run 'TestForward|TestCallMatchesSenderAndKind|TestFleetSeedSweep' -short ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestForward|TestCallMatchesSenderAndKind|TestAgent|TestFleetSeedSweep' -short ./internal/fleet
 
 # chaossoak is the full bad-network acceptance soak, under -race: three
 # chaos-wrapped replicas and a chaos-wrapped router take sustained

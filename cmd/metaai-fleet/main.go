@@ -181,6 +181,9 @@ func publishLoop(ctx context.Context, router *fleet.Router, dir string, every ti
 			return
 		case <-t.C:
 		}
+		if j.Newest() <= last {
+			continue // nothing new: skip Recover's read and decode
+		}
 		ep, err := j.Recover()
 		if err != nil {
 			if !errors.Is(err, checkpoint.ErrNoEpoch) {

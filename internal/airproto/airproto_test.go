@@ -89,8 +89,14 @@ func TestRoundTripProperty(t *testing.T) {
 // TestGoldenWireBytes pins the marshalled bytes of the frames every client
 // speaks. The expected hex was produced by the float32-for-every-kind
 // codec that predates byte payloads: data, NACK and stats frames must
-// cross the wire exactly as they always have.
+// cross the wire exactly as they always have. The catch-up chunk's hex was
+// produced before PushCatchUp was named, when mode 3 was just a byte: the
+// mode adds no wire format.
 func TestGoldenWireBytes(t *testing.T) {
+	catchUp, err := EpochChunk(23, PushCatchUp, 1, 3, []byte{0xde, 0xad, 0xbe}, 500, 1000, 0xbeef01)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		f    *Frame
@@ -104,6 +110,8 @@ func TestGoldenWireBytes(t *testing.T) {
 			"01024d000000100300000000"},
 		{"stats reply", &Frame{Kind: KindStats, Code: StatsVersionReplica, ID: 9, Data: []complex128{101, 2, 3, 1, 1, 9, 4, 5}},
 			"0201090000000000000008000000ca4200000000000000400000000000004040000000000000803f000000000000803f00000000000010410000000000008040000000000000a04000000000"},
+		{"catch-up chunk", catchUp,
+			"060317000000030001001300f4010000e803000001efbe002a857711deadbe"},
 	}
 	for _, tc := range cases {
 		b, err := tc.f.Marshal()

@@ -58,6 +58,10 @@ const (
 	// PushRollback: apply an OLDER epoch; the replica journals it with
 	// reason "fleet-rollback" instead of "replicate".
 	PushRollback uint8 = 2
+	// PushCatchUp: anti-entropy re-sends the committed epoch; apply it as
+	// PushCommit does, even over a cached verdict for the same transfer
+	// when the replica has since applied another.
+	PushCatchUp uint8 = 3
 )
 
 // Ack verdicts carried in a KindEpochAck frame's Code field.

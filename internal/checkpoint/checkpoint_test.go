@@ -442,6 +442,14 @@ func TestJournalRecoverSkipsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Newest reads names only: it reports the corrupt entry and loads none.
+	loads := ckptLoads.Value()
+	if n := j.Newest(); n != 3 {
+		t.Fatalf("Newest() = %d, want the corrupt entry 3", n)
+	}
+	if d := ckptLoads.Value() - loads; d != 0 {
+		t.Fatalf("Newest loaded %d entries, want none", d)
+	}
 	got, err := j.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -461,6 +469,9 @@ func TestJournalRecoverEmpty(t *testing.T) {
 	}
 	if _, err := j.Recover(); !errors.Is(err, ErrNoEpoch) {
 		t.Fatalf("got %v, want ErrNoEpoch", err)
+	}
+	if n := j.Newest(); n != 0 {
+		t.Fatalf("Newest() = %d on an empty journal, want 0", n)
 	}
 }
 

@@ -64,6 +64,17 @@ func (j *Journal) sequences() []uint64 {
 	return seqs
 }
 
+// Newest returns the highest sequence in the journal's entry names (0 when
+// it has none). It reads the directory only, never an entry, so a poller
+// can call it on every tick and Recover only once something new landed.
+// The newest name may still be a corrupt entry that Recover skips.
+func (j *Journal) Newest() uint64 {
+	if seqs := j.sequences(); len(seqs) > 0 {
+		return seqs[len(seqs)-1]
+	}
+	return 0
+}
+
 func (j *Journal) path(seq uint64) string {
 	return filepath.Join(j.dir, fmt.Sprintf(journalPattern, seq))
 }

@@ -20,7 +20,8 @@ const (
 // ackCacheSize bounds the per-agent cache of completed-transfer verdicts.
 // A retransmitted chunk for a transfer that already APPLIED must be
 // answered with the SAME final ack (the coordinator may have missed it),
-// not re-applied and not re-reassembled. Entries are keyed by the
+// not re-applied and not re-reassembled — unless it is a catch-up and the
+// agent has since applied another transfer. Entries are keyed by the
 // (transfer ID, coordinator nonce) pair: transfer IDs restart from 1 with
 // every coordinator incarnation, and a cached verdict about one
 // incarnation's bytes must never answer another's. Only AckApplied
@@ -39,11 +40,12 @@ type cachedAck struct {
 
 // ApplyFunc installs one replicated epoch on the replica. sealed is the
 // complete sealed checkpoint exactly as the coordinator journaled it; mode
-// is the airproto push mode (PushCommit, PushCanary, PushRollback); tid is
-// the coordinator-assigned transfer/fleet sequence. It returns the measured
-// canary agreement (1 when the push is not a canary or no probes are
-// configured) and an error when the epoch must be refused — corrupt seal,
-// failed validation, wrong dataset, or a deployment that will not build.
+// is the airproto push mode (PushCommit, PushCanary, PushRollback,
+// PushCatchUp); tid is the coordinator-assigned transfer/fleet sequence. It
+// returns the measured canary agreement (1 when the push is not a canary or
+// no probes are configured) and an error when the epoch must be refused —
+// corrupt seal, failed validation, wrong dataset, or a deployment that will
+// not build.
 type ApplyFunc func(sealed []byte, mode uint8, tid uint32) (agreement float64, err error)
 
 // Agent is the replica-side half of the fleet protocol: it answers the
@@ -143,14 +145,18 @@ func (a *Agent) handlePush(f *airproto.Frame) *airproto.Frame {
 		return nil
 	}
 	if cached, ok := a.acks[f.ID]; ok {
-		if cached.nonce == nonce {
+		held := a.fleetVer.Load() == uint64(nonce)<<32|uint64(f.ID)
+		if cached.nonce == nonce && (held || f.Code != airproto.PushCatchUp) {
 			// The transfer already completed; whatever chunk this is, the
-			// coordinator needs the verdict again.
+			// coordinator needs the verdict again. Only a catch-up moves the
+			// agent back onto a transfer it has since moved off: a late
+			// duplicate of any other push must not.
 			return cached.ack
 		}
 		// Same transfer ID, different coordinator incarnation: a restarted
-		// coordinator reusing tid 1 for NEW bytes. The cached verdict says
-		// nothing about this transfer — forget it and reassemble for real.
+		// coordinator reusing tid 1 for NEW bytes. Or a catch-up to a
+		// transfer this agent no longer holds. Either way the cached verdict
+		// does not answer it — forget it and reassemble for real.
 		a.forgetAck(f.ID)
 	}
 	idx, _ := f.ChunkInfo()

@@ -281,6 +281,93 @@ func TestAgentNewIncarnationBustsAckCache(t *testing.T) {
 	}
 }
 
+// TestAgentCatchUpReappliesMovedOffTransfer is the anti-entropy pin: an
+// agent that applied transfer 1 and then transfer 2 answers a late
+// duplicate of transfer 1 from its verdict cache and stays at 2, but a
+// catch-up to transfer 1 (the committed epoch it moved off) is reassembled
+// and applied again, and the agent reports version 1. Once it holds 1, a
+// re-sent catch-up chunk is answered from the cache.
+func TestAgentCatchUpReappliesMovedOffTransfer(t *testing.T) {
+	epochs := map[uint32][]byte{1: testSealed(2_000, 15), 2: testSealed(2_000, 16)}
+	var applies []uint32
+	a := NewAgent(func(sealed []byte, mode uint8, tid uint32) (float64, error) {
+		if !bytes.Equal(sealed, epochs[tid]) {
+			t.Fatalf("transfer %d applied other bytes", tid)
+		}
+		applies = append(applies, tid)
+		return 1, nil
+	})
+	push := func(tid uint32, mode uint8) []*airproto.Frame {
+		t.Helper()
+		frames, err := Chunks(tid, mode, epochs[tid], 600, 0x77)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range frames {
+			ack, ok := a.HandleFrame(f)
+			if !ok || i == len(frames)-1 && ack.Code != airproto.AckApplied {
+				t.Fatalf("transfer %d chunk %d (mode %d) answered %+v", tid, i, mode, ack)
+			}
+		}
+		return frames
+	}
+	version := func() uint32 {
+		seq, nonce := a.FleetVersion()
+		if nonce != 0x77 {
+			t.Fatalf("fleet nonce %#x, want 0x77", nonce)
+		}
+		return uint32(seq)
+	}
+
+	push(1, airproto.PushCommit)
+	push(2, airproto.PushCommit)
+	push(1, airproto.PushCommit) // a late duplicate
+	if v := version(); v != 2 || len(applies) != 2 {
+		t.Fatalf("a duplicate of transfer 1 left version %d after applies %v, want 2 after [1 2]", v, applies)
+	}
+	catchUp := push(1, airproto.PushCatchUp)
+	if v := version(); v != 1 || len(applies) != 3 || applies[2] != 1 {
+		t.Fatalf("a catch-up to transfer 1 left version %d after applies %v, want 1 after [1 2 1]", v, applies)
+	}
+	if ack, _ := a.HandleFrame(catchUp[0]); ack.Code != airproto.AckApplied || len(applies) != 3 {
+		t.Fatalf("a re-sent catch-up chunk answered %+v after applies %v, want the cached verdict", ack, applies)
+	}
+	if n := len(a.ackOrder); n != 2 {
+		t.Fatalf("verdict cache lists %d transfers %v, want 2", n, a.ackOrder)
+	}
+}
+
+// TestAgentCatchUpRestartsPartialPush: a fan-out push that died part-way
+// leaves a partial reassembly of its transfer; the catch-up of that
+// transfer starts it over instead of refusing it as a mode flip.
+func TestAgentCatchUpRestartsPartialPush(t *testing.T) {
+	sealed := testSealed(2_000, 17)
+	applies := 0
+	a := NewAgent(func(got []byte, mode uint8, tid uint32) (float64, error) {
+		applies++
+		if !bytes.Equal(got, sealed) || mode != airproto.PushCatchUp {
+			t.Fatalf("apply(mode %d) saw other bytes or mode", mode)
+		}
+		return 1, nil
+	})
+	commit, err := Chunks(4, airproto.PushCommit, sealed, 600, 0x77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.HandleFrame(commit[0])
+	catchUp, err := Chunks(4, airproto.PushCatchUp, sealed, 600, 0x77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var final *airproto.Frame
+	for _, f := range catchUp {
+		final, _ = a.HandleFrame(f)
+	}
+	if final.Code != airproto.AckApplied || applies != 1 || a.FleetSeq() != 4 {
+		t.Fatalf("catch-up over a partial push: code %d, %d applies, fleet seq %d", final.Code, applies, a.FleetSeq())
+	}
+}
+
 // TestAgentIgnoresJoinReplies: a join reaching a replica (another
 // replica's announcement) is never answered; joins are one-way.
 func TestAgentIgnoresJoinReplies(t *testing.T) {

@@ -13,13 +13,17 @@ type MemberState uint8
 const (
 	// Alive: heartbeats are landing; route traffic here.
 	Alive MemberState = iota
-	// Suspect: consecutive heartbeats went unanswered (or the data path's
-	// failure rate crossed the NACK-fraction threshold). The member gets no
-	// new traffic and is probed on a jittered exponential schedule until it
+	// Suspect: consecutive heartbeats went unanswered. Heartbeats alone
+	// decide this: a replica's StatusDegraded or StatusRetryAfter NACK only
+	// fails that one request over, because a replica that sheds is alive
+	// and busy, and suspecting every busy replica at once would leave the
+	// router refusing requests they can answer. The member gets no new
+	// traffic and is probed on a jittered exponential schedule until it
 	// answers or runs out of probes.
 	Suspect
-	// Evicted: the member exhausted its probes. It stays evicted until a
-	// join announcement or a live heartbeat resurrects it.
+	// Evicted: the member exhausted its probes, or a push to it never
+	// finished. It is not probed, so it stays evicted until a join
+	// announcement revives it.
 	Evicted
 )
 
@@ -48,12 +52,6 @@ type DetectorConfig struct {
 	ProbeMax  time.Duration
 	// ProbeLimit is how many unanswered suspect probes evict (default 5).
 	ProbeLimit int
-	// NackWindow and NackFrac tune data-path suspicion: when the trailing
-	// NackWindow forward outcomes for a member are at least NackFrac
-	// failures, the member turns Suspect without waiting for heartbeats to
-	// miss (defaults 16 / 0.5).
-	NackWindow int
-	NackFrac   float64
 }
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
@@ -69,12 +67,6 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 	if c.ProbeLimit <= 0 {
 		c.ProbeLimit = 5
 	}
-	if c.NackWindow <= 0 {
-		c.NackWindow = 16
-	}
-	if c.NackFrac <= 0 || c.NackFrac > 1 {
-		c.NackFrac = 0.5
-	}
 	return c
 }
 
@@ -84,16 +76,12 @@ type memberHealth struct {
 	misses    int       // consecutive missed heartbeats while Alive
 	probes    int       // unanswered probes while Suspect
 	nextProbe time.Time // earliest next suspect probe
-	window    []bool    // trailing forward outcomes (true = failed)
-	widx      int
-	wfill     int
-	wfails    int
 }
 
 // Detector is the fleet's failure detector: a per-member
-// Alive→Suspect→Evicted state machine fed by heartbeat outcomes and
-// data-path forward results. All decisions take the caller's clock, so
-// tests drive it deterministically with a fake time.
+// Alive→Suspect→Evicted state machine fed by heartbeat outcomes. All
+// decisions take the caller's clock, so tests drive it deterministically
+// with a fake time.
 type Detector struct {
 	cfg DetectorConfig
 
@@ -112,7 +100,7 @@ func NewDetector(cfg DetectorConfig, src *rng.Source) *Detector {
 func (d *Detector) member(name string) *memberHealth {
 	h := d.m[name]
 	if h == nil {
-		h = &memberHealth{window: make([]bool, d.cfg.NackWindow)}
+		h = &memberHealth{}
 		d.m[name] = h
 	}
 	return h
@@ -128,14 +116,14 @@ func (d *Detector) Observe(name string, ok bool, now time.Time) MemberState {
 	if ok {
 		h.state = Alive
 		h.misses, h.probes = 0, 0
-		h.resetWindow()
 		return Alive
 	}
 	switch h.state {
 	case Alive:
 		h.misses++
 		if h.misses >= d.cfg.SuspectMisses {
-			d.suspect(h, now)
+			h.state = Suspect // probes is 0 while Alive
+			h.scheduleProbe(d.cfg, d.src, now)
 		}
 	case Suspect:
 		h.probes++
@@ -148,54 +136,12 @@ func (d *Detector) Observe(name string, ok bool, now time.Time) MemberState {
 	return h.state
 }
 
-// suspect transitions a member into Suspect and schedules its first probe.
-func (d *Detector) suspect(h *memberHealth, now time.Time) {
-	h.state = Suspect
-	h.probes = 0
-	h.scheduleProbe(d.cfg, d.src, now)
-}
-
 func (h *memberHealth) scheduleProbe(cfg DetectorConfig, src *rng.Source, now time.Time) {
 	delay := time.Duration(float64(cfg.ProbeBase) * float64(int(1)<<h.probes) * (0.5 + src.Float64()))
 	if delay > cfg.ProbeMax {
 		delay = cfg.ProbeMax
 	}
 	h.nextProbe = now.Add(delay)
-}
-
-func (h *memberHealth) resetWindow() {
-	for i := range h.window {
-		h.window[i] = false
-	}
-	h.widx, h.wfill, h.wfails = 0, 0, 0
-}
-
-// ReportForward records one data-path forward outcome (failed = timeout or
-// degraded NACK). A full window at or above the NACK fraction turns an
-// Alive member Suspect without waiting for heartbeats to miss — the data
-// path sees trouble seconds before the next liveness tick does. Returns the
-// state after the report.
-func (d *Detector) ReportForward(name string, failed bool, now time.Time) MemberState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	h := d.member(name)
-	if h.wfill == len(h.window) && h.window[h.widx] {
-		h.wfails--
-	}
-	h.window[h.widx] = failed
-	if failed {
-		h.wfails++
-	}
-	h.widx = (h.widx + 1) % len(h.window)
-	if h.wfill < len(h.window) {
-		h.wfill++
-	}
-	if h.state == Alive && h.wfill == len(h.window) &&
-		float64(h.wfails) >= d.cfg.NackFrac*float64(len(h.window)) {
-		d.suspect(h, now)
-		h.resetWindow()
-	}
-	return h.state
 }
 
 // ShouldProbe reports whether a Suspect member's next jittered probe is
@@ -244,7 +190,6 @@ func (d *Detector) Revive(name string) (prev MemberState) {
 	h := d.member(name)
 	prev, h.state = h.state, Alive
 	h.misses, h.probes = 0, 0
-	h.resetWindow()
 	return prev
 }
 

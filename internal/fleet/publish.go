@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/airproto"
 	"repro/internal/checkpoint"
@@ -74,8 +73,7 @@ func (r *Router) Publish(sealed []byte) error {
 	if err != nil {
 		csp.End()
 		// The transfer never completed, so the canary applied nothing: the
-		// fleet is unchanged. The canary is in trouble, though.
-		r.det.ReportForward(canary.name, true, time.Now())
+		// fleet is unchanged.
 		return fmt.Errorf("fleet: canary %s unreachable: %w", canary.name, err)
 	}
 	_, agreement, _ := ack.AckInfo()

@@ -616,8 +616,10 @@ func (r *Router) evicted(m *member, why string) {
 // process, so after a restart a surviving replica holds a large sequence
 // from the previous incarnation while the new coordinator counts from 1
 // again. The coordinator is authoritative; inequality means divergence.
-// One catch-up per member at a time; the member's next heartbeat reply
-// shows whether it landed.
+// The push goes out in PushCatchUp mode, the one mode in which a replica
+// re-applies a transfer it once applied and has since moved off. One
+// catch-up per member at a time; the member's next heartbeat reply shows
+// whether it landed.
 func (r *Router) maybeCatchUp(m *member) {
 	r.mu.Lock()
 	cur, tid := r.current, r.currentTid
@@ -645,7 +647,7 @@ func (r *Router) maybeCatchUp(m *member) {
 			return
 		}
 		catchupCount.Inc()
-		ack, err := r.pushEpoch(m, tid, cur, airproto.PushCommit)
+		ack, err := r.pushEpoch(m, tid, cur, airproto.PushCatchUp)
 		switch {
 		case err != nil:
 			r.cfg.Logf("fleet: catch-up push to %s failed: %v", m.name, err)
@@ -964,7 +966,6 @@ func (fw *forwarding) result(i int, f *airproto.Frame) effect {
 	now := time.Now()
 	failed := f == nil || (f.IsNack() &&
 		(f.Code == airproto.StatusDegraded || f.Code == airproto.StatusRetryAfter))
-	fw.r.det.ReportForward(fw.prefs[i].name, failed, now)
 	if !failed {
 		answer := *f
 		answer.ID = fw.req.ID

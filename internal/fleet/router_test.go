@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -258,6 +259,35 @@ func TestForwardShedsWhenEveryReplicaNacks(t *testing.T) {
 	}
 	if d := shedCount.Value() - shed; d != 1 {
 		t.Fatalf("fleet.shed rose by %d, want 1", d)
+	}
+}
+
+// TestForwardKeepsReplicasRoutableAfterNackBurst: replicas that shed a
+// burst of requests are busy, not dead. Once both have NACKed 32 requests
+// and then answer again, the next request gets a replica's reply, not a
+// StatusDegraded NACK from the router itself.
+func TestForwardKeepsReplicasRoutableAfterNackBurst(t *testing.T) {
+	var busy atomic.Bool
+	busy.Store(true)
+	plane := func(f *airproto.Frame, reply func(*airproto.Frame)) {
+		if busy.Load() {
+			degraded(f, reply)
+		} else {
+			answer(1, 0, 1)(f, reply)
+		}
+	}
+	client, front := forwardRig(t, 10*time.Second, plane, plane)
+	for id := uint32(1); id <= 32; id++ {
+		send(t, client, front, &airproto.Frame{ID: id, Data: []complex128{1, 2}})
+		if got := collect(t, client, 1, 0); len(got) != 1 || got[0].Code != airproto.StatusDegraded || got[0].ID != id {
+			t.Fatalf("client got %v, want one StatusDegraded NACK for request %d", frames(got), id)
+		}
+	}
+	busy.Store(false)
+	send(t, client, front, &airproto.Frame{ID: 33, Data: []complex128{1, 2}})
+	got := collect(t, client, 1, 100*time.Millisecond)
+	if len(got) != 1 || got[0].IsNack() || got[0].ID != 33 || got[0].Label != 1 {
+		t.Fatalf("client got %v, want exactly a replica's reply to request 33", frames(got))
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 
 // memNet is an in-memory datagram network. Every endpoint is a
 // netchaos.PacketConn at a fixed address. A datagram passes the
-// netchaos.Lane of its link and direction, until quiet switches chaos off;
-// only the links of the clean endpoint carry no chaos.
+// netchaos.Lane of its link and direction while chaos is on (quiet switches
+// it off, noisy back on); only the links of the clean endpoint carry no
+// chaos.
 type memNet struct {
 	seed  uint64
 	rates netchaos.Rates
@@ -85,8 +86,7 @@ func (n *memNet) deliver(from *net.UDPAddr, p netchaos.Packet) {
 	}
 }
 
-// quiet switches chaos off for good and delivers every datagram a lane
-// still holds.
+// quiet switches chaos off and delivers every datagram a lane still holds.
 func (n *memNet) quiet() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -96,6 +96,13 @@ func (n *memNet) quiet() {
 			n.deliver(net.UDPAddrFromAddrPort(link[0]), p)
 		}
 	}
+}
+
+// noisy switches chaos back on.
+func (n *memNet) noisy() {
+	n.mu.Lock()
+	n.calm = false
+	n.mu.Unlock()
 }
 
 type memPacket struct {
@@ -338,6 +345,16 @@ func (s *sim) startReplica(i int) {
 	}()
 }
 
+// up reports whether the replica runs: it has not crashed.
+func (rep *simReplica) up() bool {
+	select {
+	case <-rep.stop:
+		return false
+	default:
+		return true
+	}
+}
+
 // crash stops replica i without ceremony: its socket closes and its
 // agent's state is gone.
 func (s *sim) crash(i int) {
@@ -477,7 +494,8 @@ func (s *sim) pause() { time.Sleep(time.Duration(s.src.IntN(30)) * time.Millisec
 // runSeed runs one seed's episode: client load beside three publications
 // (good, canary-refused, good), one replica crashed and restarted with a
 // fresh agent, and on some seeds a router restart from its state directory.
-// Then chaos stops and the invariants are checked. It returns what broke.
+// Chaos pauses after each publication until the fleet converges. Then chaos
+// stops and the invariants are checked. It returns what broke.
 func runSeed(seed uint64, dir string) []string {
 	src := rng.New(seed)
 	rate := 0.12 * src.Float64()
@@ -517,6 +535,9 @@ func runSeed(seed uint64, dir string) []string {
 		}
 		if step < 3 {
 			s.publish(step)
+			s.net.quiet()
+			s.waitFor(fmt.Sprintf("the fleet to converge after publication %d", step+1), simPatience, s.converged)
+			s.net.noisy()
 			s.pause()
 		}
 	}
@@ -524,15 +545,7 @@ func runSeed(seed uint64, dir string) []string {
 	s.pauseLoad()
 	s.awaitAnswers()
 	r := s.router
-	s.waitFor("the fleet to converge", simPatience, func() bool {
-		want := uint64(r.Incarnation())<<32 | uint64(r.CurrentTid())
-		for _, rep := range s.reps {
-			if seq, nonce := rep.agent.FleetVersion(); uint64(nonce)<<32|seq != want {
-				return false
-			}
-		}
-		return r.Live() == 3
-	})
+	s.waitFor("the fleet to converge", simPatience, s.converged)
 	time.Sleep(20 * time.Millisecond) // room for a second answer to land
 	s.stopRouter()
 	s.check(r)
@@ -541,6 +554,30 @@ func runSeed(seed uint64, dir string) []string {
 			rate, victim, crashAt, restartAt, routerAt, s.errs[i])
 	}
 	return s.errs
+}
+
+// converged reports whether every running replica holds the router's
+// (incarnation, committed sequence), the router records each at that
+// version, and the router routes to exactly the running replicas.
+func (s *sim) converged() bool {
+	r := s.router
+	want := r.ver(r.CurrentTid())
+	running := 0
+	for _, rep := range s.reps {
+		if !rep.up() {
+			continue
+		}
+		running++
+		name := rep.end.addr.String()
+		r.mu.Lock()
+		m := r.members[name]
+		r.mu.Unlock()
+		if seq, nonce := rep.agent.FleetVersion(); uint64(nonce)<<32|seq != want ||
+			m == nil || m.fleetVer.Load() != want || r.det.State(name) != Alive {
+			return false
+		}
+	}
+	return r.Live() == running
 }
 
 // shutdown stops the replicas and the client.
@@ -598,8 +635,10 @@ func (s *sim) check(r *Router) {
 // -short), and asserts for each seed:
 //   - every client request is answered exactly once, and no forward is
 //     left in flight;
-//   - once chaos stops, every replica reports the router's (incarnation,
-//     committed sequence) and all three are live;
+//   - after each publication, with chaos paused, and once chaos stops,
+//     every running replica reports the router's (incarnation, committed
+//     sequence), the router records each at that version, and exactly the
+//     running replicas are live;
 //   - within one coordinator nonce, a replica's fleet version never falls
 //     below a committed version it held. A version a failed publication
 //     left behind (a canary or fan-out replica whose verdict never reached

@@ -82,6 +82,7 @@ func NewReassembler() *Reassembler {
 // transfer. A frame that lies about its geometry (mismatched totals, chunk
 // outside the transfer, mode flip mid-transfer) fails with an error and
 // drops the whole transfer — a torn buffer must never reach the decoder.
+// The one mode change allowed is to PushCatchUp, which starts over.
 func (ra *Reassembler) Add(f *airproto.Frame) (sealed []byte, mode uint8, done bool, err error) {
 	idx, total := f.ChunkInfo()
 	chunk, off, totalLen, nonce, ok := f.ChunkPayload()
@@ -92,6 +93,11 @@ func (ra *Reassembler) Add(f *airproto.Frame) (sealed []byte, mode uint8, done b
 		return nil, 0, false, fmt.Errorf("fleet: transfer %d claims %d bytes (cap %d)", f.ID, totalLen, maxTransferBytes)
 	}
 	tr := ra.m[f.ID]
+	if tr != nil && f.Code == airproto.PushCatchUp && tr.mode != f.Code {
+		// Anti-entropy re-sends a transfer whose earlier push died part-way.
+		ra.Drop(f.ID)
+		tr = nil
+	}
 	if tr == nil {
 		if len(ra.m) >= maxTransfers {
 			ra.evictOldest()
