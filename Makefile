@@ -123,23 +123,31 @@ fleetbench:
 
 # fleetgate is the CI smoke of the same episode (-short trims the load) —
 # every failure mode still fires, in about two seconds — plus, under -race,
-# the router's forward pins: failover on an explicit NACK, a hedged slow
-# primary, StatusExpired on a dead budget, StatusDegraded once every
-# replica NACKs, replicas still routable after both NACK a burst
-# (TestForwardKeepsReplicasRoutableAfterNackBurst), exactly one answer per
-# request when replicas reply twice, and exactly one answer when an
-# in-memory upstream delivers each reply inside its attempt's write (once,
-# twice, or before the write fails); the pin that a reply reaches only the
-# call or forward it answers; the agent's replication rules, among them a
-# catch-up re-applying a transfer the agent moved off
-# (TestAgentCatchUpReappliesMovedOffTransfer); and the seed sweep, whose
-# -short run covers 32 seeds of the shipped router over an in-memory chaos
-# network with real agents, asserting one answer per request, convergence
-# after every publication and at the end, no fall below a committed
-# version, and applied epochs that were published.
+# a replica's default queue holding a stall's burst of 100 requests
+# (TestDefaultQueueHoldsAStallBurst); the router's forward pins: failover
+# on an explicit NACK, a hedged slow primary, StatusExpired on a dead
+# budget, StatusDegraded once every replica NACKs, replicas still routable
+# after both NACK a burst (TestForwardKeepsReplicasRoutableAfterNackBurst),
+# exactly one answer per request when replicas reply twice, and exactly one
+# answer when an in-memory upstream delivers each reply inside its
+# attempt's write (once, twice, or before the write fails); the pin that a
+# reply reaches only the call or forward it answers; the failure detector,
+# which probes an evicted member every ProbeMax; the agent's replication
+# rules, among them a catch-up re-applying a transfer the agent moved off
+# (TestAgentCatchUpReappliesMovedOffTransfer) and a dead incarnation's
+# partial push not refusing the next incarnation's transfer of the same ID
+# (TestAgentDeadIncarnationPartialPushDoesNotRefuseNext); all 256 seeds of
+# the sweep, which drives the router's core in virtual time with real
+# agents over a chaos network, asserting one answer per request, the fleet
+# as each publication's verdict returns (routed members hold what the
+# router records, none holds a refused transfer), convergence after every
+# publication and at the end with no catch-up after it, no fall below a
+# committed version, and applied epochs that were published; and the
+# determinism check (TestFleetSeedReplay), which runs a sample of seeds
+# twice and requires identical datagram logs.
 fleetgate:
-	$(GO) test -race -count=1 -run 'TestFleetBench' -short ./cmd/metaai-serve
-	$(GO) test -race -count=1 -run 'TestForward|TestCallMatchesSenderAndKind|TestAgent|TestFleetSeedSweep' -short ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestFleetBench|TestDefaultQueueHoldsAStallBurst' -short ./cmd/metaai-serve
+	$(GO) test -race -count=1 -run 'TestForward|TestCallMatchesSenderAndKind|TestDetector|TestAgent|TestFleetSeedSweep|TestFleetSeedReplay' ./internal/fleet
 
 # chaossoak is the full bad-network acceptance soak, under -race: three
 # chaos-wrapped replicas and a chaos-wrapped router take sustained

@@ -246,3 +246,47 @@ func TestAdmissionFeedbackLoop(t *testing.T) {
 	}
 	t.Logf("brownout engaged at fraction %.4f", ac.Fraction())
 }
+
+// TestDefaultQueueHoldsAStallBurst: with both workers held, as after a host
+// stall, a burst of 100 requests to a server at the default queue depth is
+// queued and answered, never shed with StatusDegraded.
+func TestDefaultQueueHoldsAStallBurst(t *testing.T) {
+	d := testDeployment(t, 11)
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 2)
+	srv := newAirServer(serverConfig{
+		deployment: d,
+		workers:    2,
+		sessionSrc: rng.New(99),
+		logf:       t.Logf,
+		preInfer: func() {
+			select {
+			case entered <- struct{}{}:
+				<-gate // only the first request each worker takes is held
+			default:
+			}
+		},
+	})
+	addr, shutdown := startServer(t, srv)
+	defer shutdown()
+	conn := dialServer(t, addr)
+	const burst = 100
+	depth0 := queueDepth.Value()
+	for id := uint32(1); id <= 2; id++ {
+		sendFrame(t, conn, &airproto.Frame{ID: id, Data: testSymbols(d.InputLen(), uint64(id))})
+	}
+	<-entered
+	<-entered
+	for id := uint32(3); id < 3+burst; id++ {
+		sendFrame(t, conn, &airproto.Frame{ID: id, Data: testSymbols(d.InputLen(), uint64(id))})
+	}
+	waitFor(t, "the burst to be queued or shed", func() bool {
+		return queueDepth.Value()-depth0+float64(srv.shed.Load()) == burst
+	})
+	close(gate)
+	for i := 0; i < 2+burst; i++ {
+		if f := readFrame(t, conn); f.IsNack() {
+			t.Fatalf("request %d of a %d-request burst answered NACK code %d, want a result", f.ID, burst, f.Code)
+		}
+	}
+}

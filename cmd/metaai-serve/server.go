@@ -57,7 +57,10 @@ type serverConfig struct {
 	batch int
 	// queue bounds in-flight requests; a full queue sheds load with a
 	// StatusDegraded NACK instead of blocking the read loop. Defaults to
-	// workers*4.
+	// workers*64: at about 0.1 ms of inference a request, that drains in
+	// milliseconds, and holds the burst a router forwards after a host stall
+	// of 150 ms at 400 req/s. A request that carries a deadline still
+	// expires at dequeue, before any inference is spent on it.
 	queue int
 	// healEvery is the supervisor's polling period (default 250ms).
 	healEvery time.Duration
@@ -166,7 +169,7 @@ func newAirServer(cfg serverConfig) *airServer {
 		cfg.batch = 1
 	}
 	if cfg.queue <= 0 {
-		cfg.queue = cfg.workers * 4
+		cfg.queue = cfg.workers * 64
 	}
 	if cfg.healEvery <= 0 {
 		cfg.healEvery = 250 * time.Millisecond

@@ -281,6 +281,41 @@ func TestAgentNewIncarnationBustsAckCache(t *testing.T) {
 	}
 }
 
+// TestAgentDeadIncarnationPartialPushDoesNotRefuseNext: a router that dies
+// mid-push leaves a partial transfer behind, and its next incarnation
+// reuses the transfer ID (its journal never saw the dead push's sequence).
+// The new incarnation's push of the same ID applies; the stale partial ages
+// out like any other.
+func TestAgentDeadIncarnationPartialPushDoesNotRefuseNext(t *testing.T) {
+	dead, next := testSealed(2_000, 18), testSealed(2_000, 19)
+	var applied [][]byte
+	a := NewAgent(func(sealed []byte, mode uint8, tid uint32) (float64, error) {
+		applied = append(applied, append([]byte(nil), sealed...))
+		return 1, nil
+	})
+	stale, err := Chunks(5, airproto.PushCanary, dead, 600, 0xaaa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.HandleFrame(stale[0])
+	frames, err := Chunks(5, airproto.PushCanary, next, 600, 0xbbb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack *airproto.Frame
+	for i, f := range frames {
+		if ack, _ = a.HandleFrame(f); i < len(frames)-1 && (ack == nil || ack.Code != airproto.AckChunk) {
+			t.Fatalf("the next incarnation's chunk %d answered %+v, want AckChunk", i, ack)
+		}
+	}
+	if ack == nil || ack.Code != airproto.AckApplied {
+		t.Fatalf("the next incarnation's push completed with %+v, want AckApplied", ack)
+	}
+	if seq, nonce := a.FleetVersion(); len(applied) != 1 || !bytes.Equal(applied[0], next) || seq != 5 || nonce != 0xbbb {
+		t.Fatalf("%d applies, fleet version (%d, %#x); want the next incarnation's bytes at (5, 0xbbb)", len(applied), seq, nonce)
+	}
+}
+
 // TestAgentCatchUpReappliesMovedOffTransfer is the anti-entropy pin: an
 // agent that applied transfer 1 and then transfer 2 answers a late
 // duplicate of transfer 1 from its verdict cache and stays at 2, but a

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/rng"
@@ -22,7 +21,7 @@ const (
 	// answers or runs out of probes.
 	Suspect
 	// Evicted: the member exhausted its probes, or a push to it never
-	// finished. It is not probed, so it stays evicted until a join
+	// finished. It is probed once every ProbeMax, and a reply or a join
 	// announcement revives it.
 	Evicted
 )
@@ -75,17 +74,16 @@ type memberHealth struct {
 	state     MemberState
 	misses    int       // consecutive missed heartbeats while Alive
 	probes    int       // unanswered probes while Suspect
-	nextProbe time.Time // earliest next suspect probe
+	nextProbe time.Time // earliest next probe while Suspect or Evicted
 }
 
 // Detector is the fleet's failure detector: a per-member
 // Alive→Suspect→Evicted state machine fed by heartbeat outcomes. All
 // decisions take the caller's clock, so tests drive it deterministically
-// with a fake time.
+// with a fake time. It is not goroutine-safe: the router's core
+// serializes access.
 type Detector struct {
 	cfg DetectorConfig
-
-	mu  sync.Mutex
 	src *rng.Source
 	m   map[string]*memberHealth
 }
@@ -110,8 +108,6 @@ func (d *Detector) member(name string) *memberHealth {
 // member's state after the transition. A success from any state — including
 // Evicted — restores Alive: the member is answering, so it is back.
 func (d *Detector) Observe(name string, ok bool, now time.Time) MemberState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	h := d.member(name)
 	if ok {
 		h.state = Alive
@@ -128,10 +124,12 @@ func (d *Detector) Observe(name string, ok bool, now time.Time) MemberState {
 	case Suspect:
 		h.probes++
 		if h.probes >= d.cfg.ProbeLimit {
-			h.state = Evicted
+			h.state, h.nextProbe = Evicted, now.Add(d.cfg.ProbeMax)
 		} else {
 			h.scheduleProbe(d.cfg, d.src, now)
 		}
+	case Evicted:
+		h.nextProbe = now.Add(d.cfg.ProbeMax)
 	}
 	return h.state
 }
@@ -144,49 +142,33 @@ func (h *memberHealth) scheduleProbe(cfg DetectorConfig, src *rng.Source, now ti
 	h.nextProbe = now.Add(delay)
 }
 
-// ShouldProbe reports whether a Suspect member's next jittered probe is
-// due. Alive members are always probed (the regular heartbeat cadence);
-// Evicted members never are.
+// ShouldProbe reports whether a member's next probe is due. Alive members
+// are always probed (the regular heartbeat cadence), Suspect members on
+// their jittered exponential schedule, and Evicted members once every
+// ProbeMax, so a router that learns of its replicas only from its seed
+// list still takes back one that answers again.
 func (d *Detector) ShouldProbe(name string, now time.Time) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	h := d.member(name)
-	switch h.state {
-	case Alive:
-		return true
-	case Suspect:
-		return !now.Before(h.nextProbe)
-	}
-	return false
+	return h.state == Alive || !now.Before(h.nextProbe)
 }
 
 // State returns the member's current verdict (Alive for an unknown name —
 // a member starts trusted until evidence says otherwise).
-func (d *Detector) State(name string) MemberState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if h, ok := d.m[name]; ok {
-		return h.state
-	}
-	return Alive
-}
+func (d *Detector) State(name string) MemberState { return d.member(name).state }
 
-// Evict forces a member into the Evicted state (the publication path calls
-// this when a replica dies mid-transfer, without waiting for heartbeats to
-// reach the same verdict) and returns the state it replaced.
-func (d *Detector) Evict(name string) (prev MemberState) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// Evict forces a member into the Evicted state at time now (the
+// publication path calls this when a replica dies mid-transfer, without
+// waiting for heartbeats to reach the same verdict) and returns the state
+// it replaced.
+func (d *Detector) Evict(name string, now time.Time) (prev MemberState) {
 	h := d.member(name)
-	prev, h.state = h.state, Evicted
+	prev, h.state, h.nextProbe = h.state, Evicted, now.Add(d.cfg.ProbeMax)
 	return prev
 }
 
 // Revive restores a member to Alive (a join announcement: the replica is
 // provably talking) and returns the state it replaced.
 func (d *Detector) Revive(name string) (prev MemberState) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	h := d.member(name)
 	prev, h.state = h.state, Alive
 	h.misses, h.probes = 0, 0
@@ -195,8 +177,6 @@ func (d *Detector) Revive(name string) (prev MemberState) {
 
 // Counts returns how many known members sit in each state.
 func (d *Detector) Counts() (alive, suspect, evicted int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, h := range d.m {
 		switch h.state {
 		case Alive:

@@ -79,13 +79,20 @@ func TestDetectorJitteredExponentialProbingThenEviction(t *testing.T) {
 	if st := d.Observe("r1", false, now()); st != Evicted {
 		t.Fatalf("exhausted probes -> %v, want Evicted", st)
 	}
-	if d.ShouldProbe("r1", now().Add(time.Hour)) {
-		t.Fatal("evicted member still probed")
+	// An evicted member is probed once every ProbeMax, not before, and a
+	// reply revives it.
+	if d.ShouldProbe("r1", now().Add(cfg.ProbeMax-time.Millisecond)) {
+		t.Fatal("evicted member probed before ProbeMax passed")
 	}
-	// Only revival brings it back.
-	d.Revive("r1")
-	if d.State("r1") != Alive {
-		t.Fatal("revive did not restore Alive")
+	advance(cfg.ProbeMax)
+	if !d.ShouldProbe("r1", now()) {
+		t.Fatal("evicted member not probed once ProbeMax passed")
+	}
+	if st := d.Observe("r1", false, now()); st != Evicted || d.ShouldProbe("r1", now().Add(cfg.ProbeMax/2)) {
+		t.Fatalf("a missed probe of an evicted member -> %v, probed again before ProbeMax", st)
+	}
+	if st := d.Observe("r1", true, now().Add(cfg.ProbeMax)); st != Alive {
+		t.Fatalf("a reply from an evicted member -> %v, want Alive", st)
 	}
 }
 

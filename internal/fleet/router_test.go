@@ -3,13 +3,13 @@ package fleet
 import (
 	"errors"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/airproto"
-	"repro/internal/netchaos"
 	"repro/internal/obs/trace"
 )
 
@@ -349,10 +349,10 @@ func frames(fs []*airproto.Frame) []airproto.Frame {
 
 // memConn is an in-memory netchaos.PacketConn: a read takes the next
 // datagram queued on in (and fails once in is closed), and a write hands
-// its datagram to write.
+// its datagram and destination to write.
 type memConn struct {
 	in    chan []byte
-	write func(b []byte) error
+	write func(b []byte, to *net.UDPAddr) error
 	once  sync.Once
 }
 
@@ -366,8 +366,8 @@ func (c *memConn) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) {
 	return copy(b, d), memAddr, nil
 }
 
-func (c *memConn) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) {
-	if err := c.write(b); err != nil {
+func (c *memConn) WriteToUDP(b []byte, to *net.UDPAddr) (int, error) {
+	if err := c.write(b, to); err != nil {
 		return 0, err
 	}
 	return len(b), nil
@@ -391,13 +391,15 @@ func TestForwardAnswersOnceWhenReplyLandsInsideWrite(t *testing.T) {
 	}{{"one reply", 1, false}, {"two replies", 2, false}, {"reply then failed write", 1, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			var r *Router
-			up := &memConn{in: make(chan []byte), write: func(b []byte) error {
+			up := &memConn{in: make(chan []byte), write: func(b []byte, to *net.UDPAddr) error {
 				f, err := airproto.Unmarshal(b)
 				if err != nil || f.Kind != airproto.KindData {
 					return nil
 				}
 				for i := 0; i < tc.replies; i++ {
-					r.dispatch(&airproto.Frame{ID: f.ID, Label: 1, Data: []complex128{1}})
+					r.step(nil, func(c *core, now time.Time) {
+						c.reply(now, to, &airproto.Frame{ID: f.ID, Label: 1, Data: []complex128{1}})
+					})
 				}
 				if tc.fail {
 					return errors.New("write failed after its reply landed")
@@ -415,7 +417,7 @@ func TestForwardAnswersOnceWhenReplyLandsInsideWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			answers := make(chan *airproto.Frame, 2*requests)
-			client := &memConn{in: make(chan []byte, requests), write: func(b []byte) error {
+			client := &memConn{in: make(chan []byte, requests), write: func(b []byte, _ *net.UDPAddr) error {
 				f, err := airproto.Unmarshal(b)
 				if err != nil {
 					t.Errorf("undecodable answer: %v", err)
@@ -457,7 +459,7 @@ func TestForwardAnswersOnceWhenReplyLandsInsideWrite(t *testing.T) {
 					t.Fatalf("request %d answered %d times, want once", id, got[id])
 				}
 			}
-			if n := r.inflight.Load(); n != 0 {
+			if n := r.c.inflight; n != 0 {
 				t.Fatalf("%d forwards still in flight", n)
 			}
 		})
@@ -521,7 +523,7 @@ func TestPersistStateKeepsNewest(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		dir := t.TempDir()
 		start := func() *Router {
-			up := &memConn{in: make(chan []byte), write: func([]byte) error { return nil }}
+			up := &memConn{in: make(chan []byte), write: func([]byte, *net.UDPAddr) error { return nil }}
 			r, err := newRouter(Config{StateDir: dir, HeartbeatEvery: time.Hour, Seed: 1, Tracer: &trace.Tracer{}}, up)
 			if err != nil {
 				t.Fatal(err)
@@ -537,22 +539,111 @@ func TestPersistStateKeepsNewest(t *testing.T) {
 				defer wg.Done()
 				<-gate // all at once, so snapshots and writes overlap
 				addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1000 + w}
-				r.mu.Lock()
-				r.members[addr.String()] = &member{name: addr.String(), addr: addr}
-				r.mu.Unlock()
-				r.pubSeq.Add(1)
-				r.persistState()
+				r.step(nil, func(c *core, _ time.Time) {
+					c.add(addr.String(), addr)
+					c.pubSeq++
+					c.dirty = true
+				})
 			}()
 		}
 		close(gate)
 		wg.Wait()
 		r.Close()
 		restored := start()
-		members, pubSeq := len(restored.Members()), restored.pubSeq.Load()
+		members, pubSeq := len(restored.Members()), restored.c.pubSeq
 		restored.Close()
 		if members != writers || pubSeq != writers {
 			t.Fatalf("round %d restored %d members at pubSeq %d, want %d at %d", round, members, pubSeq, writers, writers)
 		}
+	}
+}
+
+// memNet is an in-memory datagram network of endpoints at fixed
+// addresses, each a netchaos.PacketConn.
+type memNet struct {
+	mu   sync.Mutex
+	ends map[netip.AddrPort]*memEnd
+}
+
+func newMemNet() *memNet { return &memNet{ends: make(map[netip.AddrPort]*memEnd)} }
+
+// memAddrOf is the address of host port p. net.IPv4 returns the 16-byte
+// form, as ReadFromUDP may for an IPv4 source.
+func memAddrOf(p int) *net.UDPAddr { return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: p} }
+
+// apOf is an address as a map key, unmapped as the router's keys are.
+func apOf(a *net.UDPAddr) netip.AddrPort { return keyOf(a, 0).addr }
+
+// listen binds an endpoint at addr.
+func (n *memNet) listen(addr *net.UDPAddr) *memEnd {
+	e := &memEnd{n: n, addr: addr, in: make(chan memPacket, 4096), done: make(chan struct{})}
+	n.mu.Lock()
+	n.ends[apOf(addr)] = e
+	n.mu.Unlock()
+	return e
+}
+
+type memPacket struct {
+	b    []byte
+	from *net.UDPAddr
+}
+
+// memEnd is one endpoint of a memNet.
+type memEnd struct {
+	n    *memNet
+	addr *net.UDPAddr
+	in   chan memPacket
+	done chan struct{}
+	once sync.Once
+}
+
+func (e *memEnd) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) {
+	select {
+	case p := <-e.in:
+		return copy(b, p.b), p.from, nil
+	case <-e.done:
+		return 0, nil, net.ErrClosed
+	}
+}
+
+// WriteToUDP queues a copy of b at the endpoint bound at to, or drops it
+// when none is bound there or its queue is full.
+func (e *memEnd) WriteToUDP(b []byte, to *net.UDPAddr) (int, error) {
+	select {
+	case <-e.done:
+		return 0, net.ErrClosed
+	default:
+	}
+	e.n.mu.Lock()
+	defer e.n.mu.Unlock()
+	if dst := e.n.ends[apOf(to)]; dst != nil {
+		select {
+		case dst.in <- memPacket{append([]byte(nil), b...), e.addr}:
+		default:
+		}
+	}
+	return len(b), nil
+}
+
+func (e *memEnd) SetReadDeadline(time.Time) error { return nil }
+func (e *memEnd) LocalAddr() net.Addr             { return e.addr }
+
+func (e *memEnd) Close() error {
+	e.once.Do(func() {
+		e.n.mu.Lock()
+		if e.n.ends[apOf(e.addr)] == e {
+			delete(e.n.ends, apOf(e.addr))
+		}
+		e.n.mu.Unlock()
+		close(e.done)
+	})
+	return nil
+}
+
+// write marshals f and sends it from e to to.
+func (e *memEnd) write(f *airproto.Frame, to *net.UDPAddr) {
+	if out, err := f.Marshal(); err == nil {
+		e.WriteToUDP(out, to)
 	}
 }
 
@@ -596,7 +687,7 @@ func memRouter(t *testing.T, n *memNet, up int, reps ...*memEnd) *Router {
 // reply and an EpochAck under that ID must each reach only their own
 // waiter: the data reply the forward, the ack the push chunk's call.
 func TestCallMatchesSenderAndKind(t *testing.T) {
-	n := newMemNet(0, netchaos.Rates{}, nil)
+	n := newMemNet()
 	t.Run("fan-out", func(t *testing.T) {
 		a, b := n.listen(memAddrOf(7100)), n.listen(memAddrOf(7101))
 		r := memRouter(t, n, 9100, a, b)
@@ -604,10 +695,12 @@ func TestCallMatchesSenderAndKind(t *testing.T) {
 		var wg sync.WaitGroup
 		for i, e := range []*memEnd{a, b} {
 			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				docs[i], _ = r.fetchRemoteTrace(r.members[e.addr.String()], 0x5eed_0000_51ab, 0)
-			}()
+			r.step(nil, func(c *core, now time.Time) {
+				c.fetchSegment(now, c.members[e.addr.String()], 0x5eed_0000_51ab, 0, func(_ time.Time, doc []byte) {
+					docs[i] = doc
+					wg.Done()
+				})
+			})
 		}
 		// Once both requests have arrived both calls wait; b answers first.
 		fa, toA := recvFrame(t, a)
@@ -630,22 +723,24 @@ func TestCallMatchesSenderAndKind(t *testing.T) {
 		go func() { served <- r.Serve(front) }()
 		defer func() { front.Close(); <-served }()
 		for _, ackFirst := range []bool{true, false} {
-			tid := r.nextID.Load() + 1 // the forward's attempt goes out under the next ID
+			r.mu.Lock()
+			tid, incar := r.c.nextID+1, r.c.incar // the forward's attempt goes out under the next ID
+			r.mu.Unlock()
 			client.write(&airproto.Frame{ID: 5, Data: []complex128{1, 2}}, front.addr)
 			fwd, toA := recvFrame(t, a)
 			if fwd.Kind != airproto.KindData || fwd.ID != tid {
 				t.Fatalf("forward went out as %+v, want a data frame under ID %d", *fwd, tid)
 			}
 			verdict := make(chan *airproto.Frame, 1)
-			go func() {
-				ack, _ := r.pushEpoch(r.members[a.addr.String()], tid, []byte("epoch"), airproto.PushCommit)
-				verdict <- ack
-			}()
+			r.step(nil, func(c *core, now time.Time) {
+				c.push(now, c.members[a.addr.String()], tid, []byte("epoch"), airproto.PushCommit,
+					func(_ time.Time, ack *airproto.Frame, _ error) { verdict <- ack })
+			})
 			if chunk, _ := recvFrame(t, a); chunk.Kind != airproto.KindEpochPush || chunk.ID != tid {
 				t.Fatalf("push went out as %+v, want a chunk of transfer %d", *chunk, tid)
 			}
 			replies := []*airproto.Frame{
-				airproto.EpochAck(tid, 0, airproto.AckApplied, 1, r.incar),
+				airproto.EpochAck(tid, 0, airproto.AckApplied, 1, incar),
 				{ID: tid, Label: 7, Data: []complex128{1}},
 			}
 			if !ackFirst {

@@ -59,22 +59,27 @@ func Chunks(tid uint32, mode uint8, sealed []byte, chunkBytes int, nonce uint32)
 // transfer is one in-progress chunked reception.
 type transfer struct {
 	mode    uint8
-	nonce   uint32 // coordinator incarnation that opened the transfer
 	buf     []byte
 	got     []bool
 	pending int // chunks still missing
 }
 
+// transferKey names a transfer: its ID and the coordinator incarnation that
+// sent it. IDs restart from 1 with every incarnation, so a dead
+// incarnation's partial push must not refuse, or blend with, the next one's
+// transfer of the same ID; it ages out like any other partial.
+type transferKey struct{ id, nonce uint32 }
+
 // Reassembler rebuilds sealed epochs from KindEpochPush frames, keyed by
-// transfer ID. Duplicate chunks are idempotent; chunks may arrive in any
+// transfer. Duplicate chunks are idempotent; chunks may arrive in any
 // order. It is not goroutine-safe — the owning Agent serializes access.
 type Reassembler struct {
-	m     map[uint32]*transfer
-	order []uint32 // insertion order, for evicting the oldest partial
+	m     map[transferKey]*transfer
+	order []transferKey // insertion order, for evicting the oldest partial
 }
 
 func NewReassembler() *Reassembler {
-	return &Reassembler{m: make(map[uint32]*transfer)}
+	return &Reassembler{m: make(map[transferKey]*transfer)}
 }
 
 // Add folds one push frame into its transfer. When the final missing chunk
@@ -92,24 +97,25 @@ func (ra *Reassembler) Add(f *airproto.Frame) (sealed []byte, mode uint8, done b
 	if totalLen > maxTransferBytes {
 		return nil, 0, false, fmt.Errorf("fleet: transfer %d claims %d bytes (cap %d)", f.ID, totalLen, maxTransferBytes)
 	}
-	tr := ra.m[f.ID]
+	k := transferKey{f.ID, nonce}
+	tr := ra.m[k]
 	if tr != nil && f.Code == airproto.PushCatchUp && tr.mode != f.Code {
 		// Anti-entropy re-sends a transfer whose earlier push died part-way.
-		ra.Drop(f.ID)
+		ra.drop(k)
 		tr = nil
 	}
 	if tr == nil {
 		if len(ra.m) >= maxTransfers {
-			ra.evictOldest()
+			ra.drop(ra.order[0])
 		}
-		tr = &transfer{mode: f.Code, nonce: nonce, buf: make([]byte, totalLen), got: make([]bool, total), pending: total}
-		ra.m[f.ID] = tr
-		ra.order = append(ra.order, f.ID)
+		tr = &transfer{mode: f.Code, buf: make([]byte, totalLen), got: make([]bool, total), pending: total}
+		ra.m[k] = tr
+		ra.order = append(ra.order, k)
 	}
-	if len(tr.buf) != totalLen || len(tr.got) != total || tr.mode != f.Code || tr.nonce != nonce {
-		ra.Drop(f.ID)
-		return nil, 0, false, fmt.Errorf("fleet: transfer %d changed shape mid-flight (%d/%d bytes, %d/%d chunks, nonce %d/%d)",
-			f.ID, totalLen, len(tr.buf), total, len(tr.got), nonce, tr.nonce)
+	if len(tr.buf) != totalLen || len(tr.got) != total || tr.mode != f.Code {
+		ra.drop(k)
+		return nil, 0, false, fmt.Errorf("fleet: transfer %d changed shape mid-flight (%d/%d bytes, %d/%d chunks, mode %d/%d)",
+			f.ID, totalLen, len(tr.buf), total, len(tr.got), f.Code, tr.mode)
 	}
 	if tr.got[idx] {
 		return nil, tr.mode, false, nil // duplicate: already placed
@@ -120,23 +126,17 @@ func (ra *Reassembler) Add(f *airproto.Frame) (sealed []byte, mode uint8, done b
 	if tr.pending > 0 {
 		return nil, tr.mode, false, nil
 	}
-	ra.Drop(f.ID)
+	ra.drop(k)
 	return tr.buf, tr.mode, true, nil
 }
 
-// Drop forgets a transfer's partial state.
-func (ra *Reassembler) Drop(tid uint32) {
-	delete(ra.m, tid)
-	for i, id := range ra.order {
-		if id == tid {
+// drop forgets a transfer's partial state.
+func (ra *Reassembler) drop(k transferKey) {
+	delete(ra.m, k)
+	for i, o := range ra.order {
+		if o == k {
 			ra.order = append(ra.order[:i], ra.order[i+1:]...)
 			break
 		}
-	}
-}
-
-func (ra *Reassembler) evictOldest() {
-	if len(ra.order) > 0 {
-		ra.Drop(ra.order[0])
 	}
 }

@@ -129,16 +129,18 @@ func TestReassemblerRejectsShapeShift(t *testing.T) {
 		t.Fatal("poisoned transfer not dropped")
 	}
 	// Same transfer ID, different coordinator incarnation: chunks from two
-	// incarnations carry different bytes and must never blend either.
-	if _, _, _, err := ra.Add(frames[0]); err != nil {
-		t.Fatal(err)
-	}
-	other, _ := Chunks(13, airproto.PushCommit, sealed, 600, 0xb2)
-	if _, _, _, err := ra.Add(other[1]); err == nil {
-		t.Fatal("nonce flip mid-transfer accepted")
-	}
-	if len(ra.m) != 0 {
-		t.Fatal("cross-incarnation transfer not dropped")
+	// incarnations carry different bytes and must never blend either. They
+	// are two transfers, each completing with its own bytes.
+	otherSealed := testSealed(2_000, 6)
+	other, _ := Chunks(13, airproto.PushCommit, otherSealed, 600, 0xb2)
+	for i, f := range append(append([]*airproto.Frame{frames[0]}, other...), frames[1:]...) {
+		got, _, done, err := ra.Add(f)
+		if err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+		if want := map[int][]byte{len(other): otherSealed, len(other) + len(frames) - 1: sealed}[i]; done != (want != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("chunk %d: done=%v, bytes match %v; the incarnations blended", i, done, bytes.Equal(got, want))
+		}
 	}
 }
 
@@ -153,7 +155,7 @@ func TestReassemblerEvictsOldestPartial(t *testing.T) {
 	if len(ra.m) != maxTransfers {
 		t.Fatalf("%d transfers held, cap %d", len(ra.m), maxTransfers)
 	}
-	if _, ok := ra.m[1]; ok {
+	if _, ok := ra.m[transferKey{1, 0xa1}]; ok {
 		t.Fatal("oldest partial transfer not evicted")
 	}
 }
