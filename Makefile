@@ -29,10 +29,13 @@ race:
 	$(GO) test -race ./...
 
 # benchsmoke runs every Go micro-benchmark under internal/ and cmd/ once, so
-# a benchmark that panics or no longer builds fails CI. The root package's
-# experiment benchmarks (about 33 s) are left to `make bench`.
+# a benchmark that panics or no longer builds fails CI, plus the root
+# package's BenchmarkColdStart, the replica cold start the set-up numbers
+# cite. The root package's experiment benchmarks (about 33 s) are left to
+# `make bench`.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/... ./cmd/...
+	$(GO) test -run '^$$' -bench 'BenchmarkColdStart$$' -benchtime 1x .
 
 # fuzz smokes the wire-protocol decoder for 10s beyond its seeded corpus.
 fuzz:
@@ -70,12 +73,16 @@ obsgate:
 # are the alloc-regression half of the gate: any allocation creeping into
 # the batched serving hot path, or into the per-sample LNN training step
 # every replica cold start runs, fails them deterministically, without
-# depending on wall-clock benchmark numbers.
+# depending on wall-clock benchmark numbers. The cold start's deployment
+# hash is pinned at GOMAXPROCS 1 (no fan-out), 2 and 4 (oversubscribed):
+# drawing training epochs ahead and fanning out the beam scan and the
+# schedule solves must not change a served bit.
 benchgate:
 	$(GO) test -run 'TestCompare' ./cmd/metaai-bench
 	$(GO) test -count=1 -run 'TestAccumulateSteadyStateZeroAlloc' ./internal/ota
 	$(GO) test -count=1 -run 'TestWorkerBatchSteadyStateZeroAlloc' ./cmd/metaai-serve
 	$(GO) test -count=1 -run 'TestTrainLNNStepZeroAlloc' ./internal/nn
+	$(GO) test -count=1 -cpu 1,2,4 -run 'TestColdStartDeploymentHash' ./internal/core
 	$(GO) run ./cmd/metaai-bench -servebench 100 -obs-out .benchgate.json
 	$(GO) run ./cmd/metaai-bench -compare .benchgate.json .benchgate.json
 	rm -f .benchgate.json

@@ -209,8 +209,9 @@ func probeSets(x [][]complex128) (monitor, canary [][]complex128) {
 // buildServerConfig assembles the serving state. With a recoverable journal
 // entry it restores the deployment bit-for-bit from disk — no training, no
 // schedule solving; otherwise it trains and deploys a fresh pipeline (the
-// cold start) whose first epoch seeds the journal.
-func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, error) {
+// cold start) whose first epoch seeds the journal, and returns it so the
+// caller can log its offline air accuracy once the socket listens.
+func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, *core.Pipeline, error) {
 	serveCfg := serverConfig{
 		workers:      opt.workers,
 		batch:        opt.batch,
@@ -232,12 +233,12 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, er
 		var err error
 		journal, err = checkpoint.OpenJournal(opt.stateDir)
 		if err != nil {
-			return serveCfg, nil, err
+			return serveCfg, nil, nil, err
 		}
 		serveCfg.journal = journal
 		recovered, err = recoverEpoch(journal, opt.ds)
 		if err != nil {
-			return serveCfg, nil, err
+			return serveCfg, nil, nil, err
 		}
 	}
 
@@ -249,7 +250,7 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, er
 		// Warm start: the journal already holds the solved deployment.
 		d, err := restoreDeployment(recovered)
 		if err != nil {
-			return serveCfg, nil, err
+			return serveCfg, nil, nil, err
 		}
 		log.Printf("recovered epoch %d (%s) from %s: zero re-train, zero re-solve",
 			recovered.Seq, recovered.Reason, journal.Dir())
@@ -272,7 +273,7 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, er
 		// training) and supplies the monitor and canary probes.
 		raw, err := dataset.Load(cfg.Dataset, cfg.Scale, cfg.Seed)
 		if err != nil {
-			return serveCfg, nil, err
+			return serveCfg, nil, nil, err
 		}
 		test := nn.EncodeSet(raw.Test, raw.Classes, nn.Encoder{Scheme: cfg.Scheme})
 		monProbes, canaryProbes := probeSets(test.X)
@@ -287,7 +288,7 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, er
 			rates.StuckAtomFrac = 0
 			inj, err := faults.New(d, rates, rng.New(opt.seed^0xfa017))
 			if err != nil {
-				return serveCfg, nil, err
+				return serveCfg, nil, nil, err
 			}
 			inj.SabotageHeal(opt.sabotage)
 			serveCfg.injector = inj
@@ -306,17 +307,17 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, er
 					serveCfg.monitor.Threshold(), opt.healWin)
 			}
 		}
-		return serveCfg, journal, nil
+		return serveCfg, journal, nil, nil
 	}
 
 	// Cold start: train, deploy, and let the first epoch seed the journal.
 	log.Printf("training %s pipeline and solving MTS schedules...", opt.ds)
 	pipe, err := core.New(cfg)
 	if err != nil {
-		return serveCfg, nil, err
+		return serveCfg, nil, nil, err
 	}
-	log.Printf("deployed: %d classes, U=%d symbols, sim %.1f%%, air %.1f%%",
-		pipe.Train.Classes, pipe.Train.U, 100*pipe.SimAccuracy(), 100*pipe.AirAccuracy())
+	log.Printf("deployed: %d classes, U=%d symbols, sim %.1f%%",
+		pipe.Train.Classes, pipe.Train.U, 100*pipe.SimAccuracy())
 	if n := pipe.Deployment().Layers(); n > 1 {
 		log.Printf("stacked cascade: %d layers, hop noise %.3f", n, pipe.Deployment().Options().HopNoise)
 	}
@@ -334,7 +335,7 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, er
 	if opt.faultRate > 0 {
 		inj, err := faults.New(pipe.Deployment(), faults.Mix(opt.faultRate), rng.New(opt.seed^0xfa017))
 		if err != nil {
-			return serveCfg, nil, err
+			return serveCfg, nil, nil, err
 		}
 		inj.SabotageHeal(opt.sabotage)
 		serveCfg.injector = inj
@@ -344,13 +345,15 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, er
 	}
 	if opt.selfHeal {
 		// Calibrate the degradation threshold against the HEALTHY
-		// deployment's margins (the bound default session), before any
-		// injected damage.
-		serveCfg.monitor = mobility.CalibrateMonitor(pipe.System, monProbes, opt.healFrac, opt.healWin)
+		// deployment's margins, before any injected damage, on a session
+		// of its own as recovery does: the bound default session is left
+		// to the offline air accuracy.
+		serveCfg.monitor = mobility.CalibrateMonitor(
+			pipe.Deployment().SessionFromSeed(opt.seed^0x4ea1), monProbes, opt.healFrac, opt.healWin)
 		log.Printf("self-healing armed: margin threshold %.4f over a %d-readout window",
 			serveCfg.monitor.Threshold(), opt.healWin)
 	}
-	return serveCfg, journal, nil
+	return serveCfg, journal, pipe, nil
 }
 
 // snapshotSource supplies the metrics snapshot a replica piggybacks on
@@ -372,7 +375,7 @@ func snapshotSource() func() []byte {
 }
 
 func runServer(addr string, opt serverOptions, sidecar *http.Server) error {
-	serveCfg, journal, err := buildServerConfig(opt)
+	serveCfg, journal, pipe, err := buildServerConfig(opt)
 	if err != nil {
 		return err
 	}
@@ -398,6 +401,16 @@ func runServer(addr string, opt serverOptions, sidecar *http.Server) error {
 	}
 	defer conn.Close()
 	log.Printf("air service listening on %s with %d workers (ctrl-c to stop)", conn.LocalAddr(), srv.cfg.workers)
+	if pipe != nil {
+		// The offline air accuracy only feeds the log, so it runs beside
+		// the first requests rather than before the socket listens.
+		offline := make(chan struct{})
+		go func() {
+			defer close(offline)
+			log.Printf("offline air accuracy %.1f%% on %d test samples", 100*pipe.AirAccuracy(), len(pipe.Test.X))
+		}()
+		defer func() { <-offline }()
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

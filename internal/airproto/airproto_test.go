@@ -91,7 +91,9 @@ func TestRoundTripProperty(t *testing.T) {
 // codec that predates byte payloads: data, NACK and stats frames must
 // cross the wire exactly as they always have. The catch-up chunk's hex was
 // produced before PushCatchUp was named, when mode 3 was just a byte: the
-// mode adds no wire format.
+// mode adds no wire format. The applied verdict and the heartbeat reply
+// pin the CRC32 each carries over its verdict or fleet version (checked
+// against an independent CRC-32/IEEE).
 func TestGoldenWireBytes(t *testing.T) {
 	catchUp, err := EpochChunk(23, PushCatchUp, 1, 3, []byte{0xde, 0xad, 0xbe}, 500, 1000, 0xbeef01)
 	if err != nil {
@@ -112,6 +114,10 @@ func TestGoldenWireBytes(t *testing.T) {
 			"0201090000000000000008000000ca4200000000000000400000000000004040000000000000803f000000000000803f00000000000010410000000000008040000000000000a04000000000"},
 		{"catch-up chunk", catchUp,
 			"060317000000030001001300f4010000e803000001efbe002a857711deadbe"},
+		{"applied verdict", EpochAck(23, 2, AckApplied, 0.97, 0xbeef01),
+			"0701170000000200000010000ad7a3703d0aef3f01efbe006d340103"},
+		{"heartbeat reply", HeartbeatReply(21, 3, 0x1234, nil),
+			"040015000000000000000c00030000003412000062c0468b"},
 	}
 	for _, tc := range cases {
 		b, err := tc.f.Marshal()

@@ -15,9 +15,9 @@ import (
 //   - KindHeartbeat: the router pings each replica with an empty frame;
 //     the reply carries the replica's fleet version — (transfer seq,
 //     coordinator nonce) of the last replicated epoch it applied, two
-//     uint32s — then, optionally, its encoded obs snapshot for the router's
-//     merged fleet view. The router reads the version for anti-entropy;
-//     liveness is the reply arriving at all.
+//     uint32s, and a CRC32 over them — then, optionally, its encoded obs
+//     snapshot for the router's merged fleet view. The router reads the
+//     version for anti-entropy; liveness is the reply arriving at all.
 //
 //   - KindJoin: a replica announces itself to the router from its serving
 //     socket — the datagram's source address IS the address clients get
@@ -33,7 +33,8 @@ import (
 //     nonce, and a CRC32 over every header field and the bytes, uint32
 //     each — before the chunk bytes. The replica acks every chunk; the ack
 //     for the final, completing chunk carries the apply verdict, the
-//     measured canary prediction agreement, and echoes the nonce.
+//     measured canary prediction agreement, and echoes the nonce, under a
+//     CRC32 of the same shape.
 //
 // Chunks are idempotent and may arrive duplicated or out of order; the
 // (transfer ID, nonce) pair keys reassembly. The nonce exists because
@@ -79,9 +80,9 @@ const (
 
 // Payload layouts of the fleet kinds, in bytes.
 const (
-	versionLen     = 8  // fleet version: seq, nonce
+	versionLen     = 12 // fleet version: seq, nonce, CRC32
 	chunkHeaderLen = 16 // push chunk: offset, total length, nonce, CRC32
-	verdictLen     = 12 // completing ack: agreement (float64 bits), nonce
+	verdictLen     = 16 // completing ack: agreement (float64 bits), nonce, CRC32
 )
 
 // MaxChunkBytes is the largest sealed-epoch slice one push frame carries.
@@ -113,19 +114,24 @@ func Join(id uint32, seq uint64, nonce uint32) *Frame {
 	return &Frame{Kind: KindJoin, ID: id, Payload: appendVersion(nil, seq, nonce)}
 }
 
+// appendVersion appends a fleet version and the CRC32 of its 8 bytes.
 func appendVersion(b []byte, seq uint64, nonce uint32) []byte {
+	start := len(b)
 	b = binary.LittleEndian.AppendUint32(b, uint32(seq))
-	return binary.LittleEndian.AppendUint32(b, nonce)
+	b = binary.LittleEndian.AppendUint32(b, nonce)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
 // FleetVersion reads the fleet version a heartbeat reply or join carries;
 // ok is false when the payload is too short to hold one (a heartbeat
-// ping).
+// ping) or the version's CRC32 does not match it (a bit flipped in
+// flight), so a mangled version is never recorded.
 func (f *Frame) FleetVersion() (seq uint64, nonce uint32, ok bool) {
-	if len(f.Payload) < versionLen {
+	p := f.Payload
+	if len(p) < versionLen || binary.LittleEndian.Uint32(p[8:]) != crc32.ChecksumIEEE(p[:8]) {
 		return 0, 0, false
 	}
-	return uint64(binary.LittleEndian.Uint32(f.Payload)), binary.LittleEndian.Uint32(f.Payload[4:]), true
+	return uint64(binary.LittleEndian.Uint32(p)), binary.LittleEndian.Uint32(p[4:]), true
 }
 
 // Snapshot returns the obs snapshot blob a heartbeat reply piggybacks, or
@@ -137,14 +143,17 @@ func (f *Frame) Snapshot() []byte {
 	return f.Payload[versionLen:]
 }
 
-// chunkDigest is a push frame's integrity check: a CRC32 over every header
-// field it carries — transfer ID, mode, (index, total), and the offset,
-// total length and nonce of its chunk header — plus the chunk bytes. Frames
-// have no payload checksum of their own, so without this a single
-// corrupted datagram can tear a multi-chunk reassembly or land garbage
-// bytes at a valid offset — the receiver only discovers it when the sealed
-// epoch's own CRC fails at apply time, wasting the entire transfer.
-func chunkDigest(f *Frame) uint32 {
+// digest is the integrity check of a push chunk and of a completing ack,
+// whose payloads share one shape: 12 bytes of fields, the CRC32 at [12:16],
+// then a chunk's bytes. It covers every header field — transfer ID, mode or
+// verdict, (index, total) or chunk index — the 12 field bytes (a chunk's
+// offset, total length and nonce; an ack's agreement and nonce) and the
+// chunk bytes. Frames have no payload checksum of their own, so without
+// this a single corrupted datagram can tear a multi-chunk reassembly, land
+// garbage bytes at a valid offset — the receiver only discovers it when
+// the sealed epoch's own CRC fails at apply time, wasting the entire
+// transfer — or turn an applied verdict into a refusal.
+func digest(f *Frame) uint32 {
 	var hdr [9]byte
 	binary.LittleEndian.PutUint32(hdr[0:], f.ID)
 	hdr[4] = f.Code
@@ -181,7 +190,7 @@ func EpochChunk(transfer uint32, mode uint8, index, total int, chunk []byte, off
 		Label:   int32(uint32(index)<<16 | uint32(total)),
 		Payload: append(p, chunk...),
 	}
-	binary.LittleEndian.PutUint32(f.Payload[12:], chunkDigest(f))
+	binary.LittleEndian.PutUint32(f.Payload[12:], digest(f))
 	return f, nil
 }
 
@@ -199,7 +208,7 @@ func (f *Frame) ChunkInfo() (index, total int) {
 // sender's stop-and-wait loop re-sends it like a drop.
 func (f *Frame) ChunkPayload() (chunk []byte, offset, totalLen int, nonce uint32, ok bool) {
 	p := f.Payload
-	if len(p) < chunkHeaderLen || binary.LittleEndian.Uint32(p[12:]) != chunkDigest(f) {
+	if len(p) < chunkHeaderLen || binary.LittleEndian.Uint32(p[12:]) != digest(f) {
 		return nil, 0, 0, 0, false
 	}
 	offset = int(binary.LittleEndian.Uint32(p[0:]))
@@ -215,23 +224,30 @@ func (f *Frame) ChunkPayload() (chunk []byte, offset, totalLen int, nonce uint32
 // ack with AckChunk and no payload. For the completing chunk, code carries
 // the apply verdict and the payload the canary agreement, then the
 // transfer's coordinator nonce, echoed so the sender can tell a fresh
-// verdict from a cached one about another incarnation's transfer.
+// verdict from a cached one about another incarnation's transfer, then
+// their digest.
 func EpochAck(transfer uint32, index int, code uint8, agreement float64, nonce uint32) *Frame {
 	f := &Frame{Kind: KindEpochAck, Code: code, ID: transfer, Label: int32(index)}
 	if code != AckChunk {
 		p := binary.LittleEndian.AppendUint64(make([]byte, 0, verdictLen), math.Float64bits(agreement))
-		f.Payload = binary.LittleEndian.AppendUint32(p, nonce)
+		f.Payload = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(p, nonce), 0)
+		binary.LittleEndian.PutUint32(f.Payload[12:], digest(f))
 	}
 	return f
 }
 
 // AckInfo extracts the chunk index, canary agreement, and echoed nonce from
-// an ack frame (agreement and nonce are zero on AckChunk).
-func (f *Frame) AckInfo() (index int, agreement float64, nonce uint32) {
-	index = int(f.Label)
-	if len(f.Payload) >= verdictLen {
-		agreement = math.Float64frombits(binary.LittleEndian.Uint64(f.Payload))
-		nonce = binary.LittleEndian.Uint32(f.Payload[8:])
+// an ack frame (agreement and nonce are zero on AckChunk). ok is false for
+// a verdict whose digest does not match its code, index, agreement and
+// nonce, and for an AckChunk carrying a payload: a verdict with a bit
+// flipped in flight reads as no ack at all, never as another verdict.
+func (f *Frame) AckInfo() (index int, agreement float64, nonce uint32, ok bool) {
+	index, p := int(f.Label), f.Payload
+	if f.Code == AckChunk && len(p) == 0 {
+		return index, 0, 0, true
 	}
-	return index, agreement, nonce
+	if len(p) != verdictLen || binary.LittleEndian.Uint32(p[12:]) != digest(f) {
+		return index, 0, 0, false
+	}
+	return index, math.Float64frombits(binary.LittleEndian.Uint64(p)), binary.LittleEndian.Uint32(p[8:]), true
 }

@@ -85,7 +85,7 @@ func TestFleetFramesCarryFullWidth(t *testing.T) {
 		t.Fatalf("chunk arrived as offset %d, total %d, nonce %#x, %v (ok %v)", off, tl, n, chunk, ok)
 	}
 
-	if _, agree, n := wireRoundTrip(t, EpochAck(1, 0, AckApplied, 0.1, nonce)).AckInfo(); agree != 0.1 || n != nonce {
+	if _, agree, n, ok := wireRoundTrip(t, EpochAck(1, 0, AckApplied, 0.1, nonce)).AckInfo(); !ok || agree != 0.1 || n != nonce {
 		t.Fatalf("ack arrived as agreement %v, nonce %#x", agree, n)
 	}
 }
@@ -151,7 +151,7 @@ func TestEpochChunkRejectsMalformed(t *testing.T) {
 		f, _ := EpochChunk(1, PushCommit, 0, 2, []byte{1, 2, 3, 4}, 0, 100, 0)
 		binary.LittleEndian.PutUint32(f.Payload[0:], offset)
 		binary.LittleEndian.PutUint32(f.Payload[4:], totalLen)
-		binary.LittleEndian.PutUint32(f.Payload[12:], chunkDigest(f))
+		binary.LittleEndian.PutUint32(f.Payload[12:], digest(f))
 		return f
 	}
 	if _, _, _, _, ok := lie(0, 2).ChunkPayload(); ok {
@@ -206,20 +206,66 @@ func TestEpochChunkDigestDetectsTamper(t *testing.T) {
 	}
 }
 
+// TestVerdictAndVersionDigestsDetectTamper: a completing ack's verdict and
+// a heartbeat reply's or join's fleet version carry a CRC32, so a bit
+// flipped anywhere the digest covers — after the frame left its sender —
+// reads as not-ok: never as another verdict (an applied epoch counted as
+// refused) or another version.
+func TestVerdictAndVersionDigestsDetectTamper(t *testing.T) {
+	verdict := func() *Frame { return EpochAck(9, 4, AckApplied, 0.875, 0x1234) }
+	flips := []struct {
+		name string
+		mut  func(f *Frame)
+	}{
+		{"transfer ID", func(f *Frame) { f.ID ^= 1 }},
+		{"verdict", func(f *Frame) { f.Code = AckRejected }},
+		{"verdict to chunk ack", func(f *Frame) { f.Code = AckChunk }},
+		{"chunk index", func(f *Frame) { f.Label ^= 1 }},
+		{"agreement", func(f *Frame) { f.Payload[7] ^= 0x10 }},
+		{"nonce", func(f *Frame) { f.Payload[8] ^= 1 }},
+		{"digest itself", func(f *Frame) { f.Payload[12]++ }},
+		{"truncated", func(f *Frame) { f.Payload = f.Payload[:len(f.Payload)-1] }},
+	}
+	for _, tc := range flips {
+		f := verdict()
+		tc.mut(f)
+		if _, _, _, ok := f.AckInfo(); ok {
+			t.Errorf("verdict with a flipped %s accepted", tc.name)
+		}
+	}
+	if _, _, _, ok := (&Frame{Kind: KindEpochAck, Code: AckApplied}).AckInfo(); ok {
+		t.Error("a verdict with no payload accepted")
+	}
+
+	for _, f := range []*Frame{HeartbeatReply(3, 17, 0x1234, []byte("snap")), Join(3, 17, 0x1234)} {
+		for bit := 0; bit < 8*versionLen; bit++ {
+			g := *f
+			g.Payload = append([]byte(nil), f.Payload...)
+			g.Payload[bit/8] ^= 1 << (bit % 8)
+			if _, _, ok := g.FleetVersion(); ok {
+				t.Errorf("kind %d version with bit %d flipped accepted", f.Kind, bit)
+			}
+		}
+		if seq, nonce, ok := wireRoundTrip(t, f).FleetVersion(); !ok || seq != 17 || nonce != 0x1234 {
+			t.Errorf("clean kind %d version read as (%d, %#x, %v)", f.Kind, seq, nonce, ok)
+		}
+	}
+}
+
 func TestEpochAckRoundTrip(t *testing.T) {
 	// Intermediate chunk ack: no payload.
 	got := wireRoundTrip(t, EpochAck(5, 3, AckChunk, 0, 9))
 	if got.Kind != KindEpochAck || got.Code != AckChunk || len(got.Payload) != 0 {
 		t.Fatalf("chunk ack lost fields: %+v", got)
 	}
-	if idx, _, _ := got.AckInfo(); idx != 3 {
+	if idx, _, _, ok := got.AckInfo(); !ok || idx != 3 {
 		t.Fatalf("chunk ack index %d, want 3", idx)
 	}
 
 	// Completing ack: verdict plus the agreement and the echoed nonce.
 	got = wireRoundTrip(t, EpochAck(5, 4, AckApplied, 0.875, 0x1234))
-	idx, agree, nonce := got.AckInfo()
-	if got.Code != AckApplied || idx != 4 || agree != 0.875 || nonce != 0x1234 {
+	idx, agree, nonce, ok := got.AckInfo()
+	if !ok || got.Code != AckApplied || idx != 4 || agree != 0.875 || nonce != 0x1234 {
 		t.Fatalf("final ack decoded to (%d, %v, %#x, code %d)", idx, agree, nonce, got.Code)
 	}
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"repro/internal/channel"
+	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/modem"
 	"repro/internal/mts"
@@ -11,6 +15,30 @@ import (
 	"repro/internal/noisetrain"
 	"repro/internal/ota"
 )
+
+// TestColdStartDeploymentHash pins the bits a replica's cold start serves:
+// the sealed deployment of each default pipeline hashes as it did when
+// training drew inline and the schedule solved target by target, whatever
+// GOMAXPROCS fans the draws, the beam scan and the solves across. Go may
+// fuse multiply-adds off amd64, so the pins are amd64's.
+func TestColdStartDeploymentHash(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the pinned hashes are amd64's; other architectures may fuse multiply-adds")
+	}
+	for _, tc := range []struct{ ds, want string }{
+		{"mnist", "71ab8970746db06e2a2e567cd4a81e420f7bd71053323cf81c5f18131bbbadd0"},
+		{"fashion", "6119ec1fe2404b0b3faa0781b27b86a598675952f89a3f8b1ed8d72f1dce8c36"},
+	} {
+		p, err := New(DefaultConfig(tc.ds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(checkpoint.EncodeDeployment(p.Deployment().State()))
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s deployment hashes to %s, want %s", tc.ds, got, tc.want)
+		}
+	}
+}
 
 func TestDefaultConfigRunsEndToEnd(t *testing.T) {
 	cfg := DefaultConfig("mnist")

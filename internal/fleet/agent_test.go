@@ -52,7 +52,7 @@ func TestAgentAppliesChunkedPushOnce(t *testing.T) {
 			if ack.Code != airproto.AckChunk {
 				t.Fatalf("chunk %d acked with code %d", i, ack.Code)
 			}
-			if idx, _, _ := ack.AckInfo(); idx != i {
+			if idx, _, _, _ := ack.AckInfo(); idx != i {
 				t.Fatalf("chunk %d acked as index %d", i, idx)
 			}
 		} else {
@@ -62,7 +62,7 @@ func TestAgentAppliesChunkedPushOnce(t *testing.T) {
 	if final.Code != airproto.AckApplied {
 		t.Fatalf("final ack code %d", final.Code)
 	}
-	if _, agree, nonce := final.AckInfo(); agree != 0.9375 || nonce != 0x77 {
+	if _, agree, nonce, ok := final.AckInfo(); !ok || agree != 0.9375 || nonce != 0x77 {
 		t.Fatalf("final ack (agreement %v, nonce %#x)", agree, nonce)
 	}
 	if applies != 1 {
@@ -273,7 +273,7 @@ func TestAgentNewIncarnationBustsAckCache(t *testing.T) {
 	if ack.Code != airproto.AckApplied {
 		t.Fatalf("retransmit under the new incarnation answered with code %d", ack.Code)
 	}
-	if _, _, nonce := ack.AckInfo(); nonce != 0xbbb {
+	if _, _, nonce, _ := ack.AckInfo(); nonce != 0xbbb {
 		t.Fatalf("cached ack echoes nonce %#x, want 0xbbb", nonce)
 	}
 	if len(applied) != 2 {

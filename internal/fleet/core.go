@@ -345,8 +345,9 @@ func (c *core) due(now time.Time) {
 }
 
 // heartbeat runs one liveness call for the detector. A reply carries the
-// member's fleet version and may piggyback its obs snapshot; a blob mangled
-// in flight fails its CRC, and the last good one stands.
+// member's fleet version and may piggyback its obs snapshot; a version or
+// blob mangled in flight fails its CRC, and the last good one stands (the
+// reply still proves liveness).
 func (c *core) heartbeat(now time.Time, m *member) {
 	sent := now
 	c.call(now, m, airproto.Heartbeat(c.newID()), c.cfg.HeartbeatTimeout,
@@ -419,10 +420,14 @@ func (c *core) maybeCatchUp(now time.Time, m *member) {
 // join handles a replica's announcement: first contact registers the
 // member at the datagram's source, a rejoin revives it and records the
 // version it reports (a live member's comes from heartbeats: a join may
-// predate its last transfer), and another version earns a catch-up.
+// predate its last transfer), and another version earns a catch-up. A
+// join whose version fails its digest is dropped.
 func (c *core) join(now time.Time, from *net.UDPAddr, f *airproto.Frame) {
 	name := from.String()
-	seq, nonce, _ := f.FleetVersion()
+	seq, nonce, ok := f.FleetVersion()
+	if !ok {
+		return
+	}
 	m := c.members[name]
 	fresh := m == nil
 	if fresh {
@@ -733,7 +738,7 @@ func (c *core) startPub(now time.Time) {
 			c.endPub(now, fmt.Errorf("fleet: canary %s unreachable: %w", canary.name, err))
 			return
 		}
-		_, agreement, _ := ack.AckInfo()
+		_, agreement, _, _ := ack.AckInfo()
 		csp.SetNum("agreement", agreement)
 		csp.End()
 		if ack.Code != airproto.AckApplied || agreement < c.cfg.CanaryFrac {
@@ -840,8 +845,10 @@ func (c *core) pushAll(now time.Time, ms []*member, tid uint32, sealed []byte, m
 // chunk, each a call with up to PublishRetries sends of PublishTimeout. A
 // chunk takes its own ack, or a completing verdict echoing this
 // incarnation's nonce (a duplicate transfer already finished, or a
-// mid-stream rejection); one echoing another nonce is about other bytes.
-// done hears the verdict, or an error if the transfer never finished.
+// mid-stream rejection); one echoing another nonce is about other bytes,
+// and one that fails its digest goes unheard, so the chunk's retry asks
+// again. done hears the verdict, or an error if the transfer never
+// finished.
 func (c *core) push(now time.Time, m *member, tid uint32, sealed []byte, mode uint8, done func(time.Time, *airproto.Frame, error)) {
 	frames, err := Chunks(tid, mode, sealed, c.cfg.ChunkBytes, c.incar)
 	if err != nil {
@@ -855,8 +862,8 @@ func (c *core) push(now time.Time, m *member, tid uint32, sealed []byte, mode ui
 		tries++
 		chunkCount.Inc()
 		c.call(now, m, frames[idx], c.cfg.PublishTimeout, func(f *airproto.Frame) bool {
-			n, _, nonce := f.AckInfo()
-			return f.Kind == airproto.KindEpochAck &&
+			n, _, nonce, ok := f.AckInfo()
+			return f.Kind == airproto.KindEpochAck && ok &&
 				(f.Code == airproto.AckChunk && n == idx || f.Code != airproto.AckChunk && nonce == c.incar)
 		}, func(now time.Time, ack *airproto.Frame) {
 			switch {

@@ -134,9 +134,7 @@ type sim struct {
 	unpub     int             // applies of bytes the router never published
 	committed map[uint64]bool // every (incarnation, sequence) the router committed
 	refused   map[uint64]bool // every (incarnation, sequence) of a refused transfer
-	undoable  bool            // the running publication has an epoch to roll back to
 	catchups  int             // catch-ups the core started
-	garbled   [3]time.Time    // when a datagram from each replica last reached the router corrupted or cut short
 	errs      []string
 }
 
@@ -201,7 +199,7 @@ func (s *sim) every(period time.Duration, fn func() bool) {
 // send carries one datagram: through its link's lane while chaos is on,
 // then after a latency drawn per datagram.
 func (s *sim) send(from, to *net.UDPAddr, b []byte) {
-	pkts, garbled := []netchaos.Packet{{Data: b, Addr: to}}, 0
+	pkts := []netchaos.Packet{{Data: b, Addr: to}}
 	if !s.calm && from.Port != simClientPort && to.Port != simClientPort {
 		link := [2]netip.AddrPort{apOf(from), apOf(to)}
 		l := s.lanes[link]
@@ -209,25 +207,16 @@ func (s *sim) send(from, to *net.UDPAddr, b []byte) {
 			l = netchaos.NewLane(s.rates, s.seed^uint64(from.Port)<<32^uint64(to.Port))
 			s.lanes[link] = l
 		}
-		was := l.Stats()
 		pkts = l.Apply(b, to)
-		// A datagram's own fate comes first: cut or corrupted, then its
-		// duplicate.
-		if st := l.Stats(); st.Corrupted+st.Truncated > was.Corrupted+was.Truncated {
-			garbled = 1 + int(st.Duplicated-was.Duplicated)
-		}
 	}
-	for i, p := range pkts {
-		s.deliver(from, p, i < garbled)
+	for _, p := range pkts {
+		s.deliver(from, p)
 	}
 }
 
-func (s *sim) deliver(from *net.UDPAddr, p netchaos.Packet, garbled bool) {
+func (s *sim) deliver(from *net.UDPAddr, p netchaos.Packet) {
 	b := append([]byte(nil), p.Data...)
 	s.at(s.now.Add(time.Duration(50+s.netSrc.IntN(500))*time.Microsecond), func() {
-		if i := from.Port - simReplicaPort; garbled && i >= 0 && i < len(s.reps) {
-			s.garbled[i] = s.now
-		}
 		s.arrive(from, p.Addr, b)
 	})
 }
@@ -251,7 +240,7 @@ func (s *sim) quiet() {
 	})
 	for _, link := range links {
 		for _, p := range s.lanes[link].Flush() {
-			s.deliver(net.UDPAddrFromAddrPort(link[0]), p, false)
+			s.deliver(net.UDPAddrFromAddrPort(link[0]), p)
 		}
 	}
 }
@@ -273,7 +262,9 @@ func (s *sim) arrive(from, to *net.UDPAddr, b []byte) {
 		}
 		s.step(func() { s.core.client(s.now, s.front, from, f) })
 		if f != nil && f.Kind == airproto.KindJoin && s.core.det.State(from.String()) != Alive {
-			s.fail("a join left member %s %v", from, s.core.det.State(from.String()))
+			if _, _, ok := f.FleetVersion(); ok { // one that fails its digest is dropped
+				s.fail("a join left member %s %v", from, s.core.det.State(from.String()))
+			}
 		}
 	case port == simClientPort && err == nil:
 		s.answers[f.ID]++
@@ -445,21 +436,28 @@ func (s *sim) restartRouter() {
 }
 
 // publish offers one epoch until the router reaches a verdict on it: a
-// good epoch until it commits, the bad one until it is refused or commits.
-// A transient failure (an unreachable canary, a lost verdict, no live
+// good epoch until it commits, the bad one until it is refused. A
+// transient failure (an unreachable canary, a lost verdict, no live
 // replica) is offered again within half a second, as metaai-fleet does.
-// Chaos can flip a bit of an ack's verdict or agreement, so a good epoch
-// may be refused and the bad one may commit.
+// Verdicts and agreements carry a digest, so chaos can delay a verdict but
+// not flip it: a good epoch must never be refused, nor the bad one commit.
 func (s *sim) publish(i int) {
 	sealed := simEpochs()[i]
 	bad := s.pubAt[string(sealed)]
 	for end := s.now.Add(5 * time.Minute); s.now.Before(end); {
-		s.verdict, s.pubTid, s.undoable = nil, s.core.pubSeq+1, s.core.current != nil
+		s.verdict, s.pubTid = nil, s.core.pubSeq+1
 		s.step(func() { s.core.publish(s.now, uint64(i+1), sealed, nil) })
 		if !s.waitFor(fmt.Sprintf("a verdict on epoch %d", i+1), func() bool { return s.verdict != nil }) {
 			return
 		}
-		if err := *s.verdict; err == nil || bad && errors.Is(err, ErrRefused) {
+		switch err := *s.verdict; {
+		case err == nil && bad:
+			s.fail("the canary passed bad epoch %d", i+1)
+			return
+		case errors.Is(err, ErrRefused) && !bad:
+			s.fail("good epoch %d refused: %v", i+1, err)
+			return
+		case err == nil || errors.Is(err, ErrRefused):
 			return
 		}
 		s.pause()
@@ -470,21 +468,18 @@ func (s *sim) publish(i int) {
 // judge takes a publication's verdict at the instant the core returns it,
 // before any heartbeat can repair the fleet: every member the router
 // routes to must hold the version the router records for it, and none may
-// hold a refused transfer. A member evicted mid-push may lag. A refusal
-// with no prior epoch has nothing to roll back to, and a record is only as
-// good as the datagrams it came from: a member whose last datagram the
-// router may have heard corrupted is not judged.
+// hold a refused transfer. A member evicted mid-push may lag.
 func (s *sim) judge(err error) {
 	c := s.core
 	s.verdict = &err
-	if errors.Is(err, ErrRefused) && s.undoable {
+	if errors.Is(err, ErrRefused) {
 		s.refused[c.ver(s.pubTid)] = true
 	}
 	s.noteCommitted()
 	for _, rep := range s.reps {
 		name := rep.addr.String()
 		m := c.members[name]
-		if !rep.up || m == nil || c.det.State(name) != Alive || !m.verAt.After(s.garbled[rep.i]) {
+		if !rep.up || m == nil || c.det.State(name) != Alive {
 			continue
 		}
 		if v := rep.version(); s.refused[v] {

@@ -323,22 +323,31 @@ func (s *Surface) SolveTargetCompensated(des, env complex128, pathPhases []float
 // configurations over a grid and returning the angle whose beam collects the
 // most power at the true receiver direction (§3.2: "standard beam scanning
 // techniques"). stepDeg sets the scan resolution; the residual quantization
-// error is one source of prototype-vs-simulation accuracy gap.
+// error is one source of prototype-vs-simulation accuracy gap. The
+// candidate angles are scored in parallel and the first best one in scan
+// order wins, as in a serial scan.
 func (s *Surface) BeamScan(g Geometry, stepDeg float64) float64 {
 	if stepDeg <= 0 {
 		stepDeg = 1
 	}
 	truth := s.PathPhases(g)
-	best, bestAngle := -1.0, 0.0
+	var angles []float64
 	for a := -80.0; a <= 80.0; a += stepDeg {
+		angles = append(angles, a)
+	}
+	power := make([]float64, len(angles))
+	forEach(len(angles), func(i int) {
 		cand := g
-		cand.RxAngleDeg = a
-		// Steer a beam toward candidate angle a…
+		cand.RxAngleDeg = angles[i]
+		// Steer a beam toward the candidate angle…
 		cfg := s.alignConfig(0, s.PathPhases(cand))
 		// …and measure the power actually delivered to the true Rx.
-		p := cmplx.Abs(s.Response(cfg, truth))
+		power[i] = cmplx.Abs(s.Response(cfg, truth))
+	})
+	best, bestAngle := -1.0, 0.0
+	for i, p := range power {
 		if p > best {
-			best, bestAngle = p, a
+			best, bestAngle = p, angles[i]
 		}
 	}
 	return bestAngle

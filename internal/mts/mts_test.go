@@ -240,6 +240,31 @@ func TestBeamScanFindsRxAngle(t *testing.T) {
 	}
 }
 
+// TestBeamScanMatchesSerialScan: BeamScan scores its candidate angles in
+// parallel and must pick the angle a serial scan picks, ties included, at
+// a step whose repeated addition is inexact too.
+func TestBeamScanMatchesSerialScan(t *testing.T) {
+	s := Prototype(rng.New(5))
+	for _, trueAngle := range []float64{-40, 0, 25} {
+		g := DefaultGeometry()
+		g.RxAngleDeg = trueAngle
+		for _, step := range []float64{1, 0.7} {
+			truth := s.PathPhases(g)
+			best, want := -1.0, 0.0
+			for a := -80.0; a <= 80.0; a += step {
+				cand := g
+				cand.RxAngleDeg = a
+				if p := cmplx.Abs(s.Response(s.alignConfig(0, s.PathPhases(cand)), truth)); p > best {
+					best, want = p, a
+				}
+			}
+			if got := s.BeamScan(g, step); got != want {
+				t.Errorf("Rx at %v°, step %v°: beam scan picked %v°, the serial scan %v°", trueAngle, step, got, want)
+			}
+		}
+	}
+}
+
 func TestWDDIncreasesWithAtomsAndSaturates(t *testing.T) {
 	opt := DefaultWDDOptions()
 	var vals []float64

@@ -3,6 +3,9 @@ package mts
 import (
 	"fmt"
 	"math/cmplx"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cplx"
 	"repro/internal/obs"
@@ -67,6 +70,46 @@ func (sv *Solver) Solve(target complex128) (Config, complex128) {
 	t := obs.StartTimer()
 	defer t.ObserveInto(solveSeconds)
 	return sv.descend(target, nil)
+}
+
+// SolveAll solves every target as Solve does and returns the
+// configurations in target order. The solves fan out across GOMAXPROCS
+// goroutines; each is independent of the others, so the configurations
+// are bit-identical to solving the targets one by one.
+func (sv *Solver) SolveAll(targets []complex128) []Config {
+	cfgs := make([]Config, len(targets))
+	forEach(len(targets), func(i int) { cfgs[i], _ = sv.Solve(targets[i]) })
+	return cfgs
+}
+
+// forEach runs fn(i) for every i in [0, n) across up to GOMAXPROCS
+// goroutines, the caller's among them, and returns once every call has.
+// The calls must be independent of each other. At GOMAXPROCS 1 it starts
+// no goroutine and calls fn in index order.
+func forEach(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
 }
 
 // SolveMasked is SolveTargetMasked at the bound path phases. An empty pin

@@ -142,3 +142,22 @@ func TestSolverMatchesPerTargetLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveAllMatchesPerTargetLoop: SolveAll fans the solves out across
+// GOMAXPROCS goroutines and returns, in target order, the configurations
+// the per-target loop finds.
+func TestSolveAllMatchesPerTargetLoop(t *testing.T) {
+	src := rng.New(22)
+	s := Prototype(src.Split())
+	pp := s.PathPhases(DefaultGeometry())
+	maxR := s.MaxResponse(pp)
+	targets := make([]complex128, 97)
+	for i := range targets {
+		targets[i] = cplx.Expi(src.Phase()) * complex(1.1*maxR*src.Float64(), 0)
+	}
+	for i, cfg := range s.NewSolver(pp).SolveAll(targets) {
+		if want, _ := solveTargetMaskedRef(s, targets[i], pp, nil); !sameConfig(cfg, want) {
+			t.Fatalf("target %d: SolveAll differs from the per-target loop", i)
+		}
+	}
+}

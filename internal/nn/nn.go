@@ -152,6 +152,12 @@ func EncodeSet(samples []dataset.Sample, classes int, enc Encoder) *EncodedSet {
 // configured augmentations, returning the trained model. Each sample runs
 // one fused forward/backward step (lnnStep) over buffers reused for the
 // whole run, so with no augmenters training allocates nothing per sample.
+//
+// After InitWeights no draw from the run's source reads the weights, so a
+// second goroutine (drawEpochs) makes each epoch's draws, in the serial
+// loop's order, while this one steps through the epoch before: the
+// trained bits are those of drawing inline. TrainLNN returns, or panics,
+// only after that goroutine has left drawEpochs.
 func TrainLNN(train *EncodedSet, cfg TrainConfig) *ComplexLNN {
 	cfg = cfg.withDefaults()
 	if len(train.X) == 0 {
@@ -161,26 +167,36 @@ func TrainLNN(train *EncodedSet, cfg TrainConfig) *ComplexLNN {
 	m := NewComplexLNN(train.Classes, train.U)
 	m.InitWeights(src)
 	vel := make([]complex128, len(m.W.Val))
-	order := make([]int, len(train.X))
-	for i := range order {
-		order[i] = i
-	}
+
+	// Two epoch buffers circulate, one drawn while the other is stepped
+	// through, and each channel can hold both.
+	free, full := make(chan *epochDraws, 2), make(chan *epochDraws, 2)
+	free <- newEpochDraws(len(train.X))
+	free <- newEpochDraws(len(train.X))
+	stop := make(chan struct{})
+	var drawPanic any
+	go func() {
+		defer close(full)
+		defer func() { drawPanic = recover() }()
+		drawEpochs(train, cfg, src, free, full, stop)
+	}()
+	defer func() {
+		close(stop)
+		for range full { // until drawEpochs has returned
+		}
+	}()
+
 	step := newLNNStep(train.Classes)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for start := 0; start < len(order); start += cfg.Batch {
-			end := min(start+cfg.Batch, len(order))
+		d, ok := <-full
+		if !ok {
+			panic(drawPanic) // an augmenter panicked
+		}
+		for start := 0; start < len(d.order); start += cfg.Batch {
+			end := min(start+cfg.Batch, len(d.order))
 			m.W.ZeroGrad()
-			for _, idx := range order[start:end] {
-				x := train.X[idx]
-				if cfg.InputAug != nil {
-					x = cfg.InputAug(x, src)
-				}
-				var noise []complex128
-				if cfg.OutputNoise != nil {
-					noise = cfg.OutputNoise(train.Classes, src)
-				}
-				step.accumulate(m.W, x, noise, train.Labels[idx])
+			for k := start; k < end; k++ {
+				step.accumulate(m.W, d.x[k], d.noise[k], train.Labels[d.order[k]])
 			}
 			scale := complex(cfg.LR/float64(end-start), 0)
 			mom := complex(cfg.Momentum, 0)
@@ -189,8 +205,58 @@ func TrainLNN(train *EncodedSet, cfg TrainConfig) *ComplexLNN {
 				m.W.Val[i] += vel[i]
 			}
 		}
+		free <- d
 	}
 	return m
+}
+
+// epochDraws is one epoch's random draws: the shuffled sample order and,
+// per position in it, the (augmented) input and the output noise.
+type epochDraws struct {
+	order []int
+	x     [][]complex128
+	noise [][]complex128
+}
+
+func newEpochDraws(n int) *epochDraws {
+	return &epochDraws{order: make([]int, n), x: make([][]complex128, n), noise: make([][]complex128, n)}
+}
+
+// drawEpochs makes every epoch's draws from src in the order the serial
+// training loop made them — the epoch's shuffle, then per sample its input
+// augmentation and its output noise — filling a buffer taken from free and
+// handing it on through full. It returns after the last epoch, or when it
+// finds stop closed between epochs.
+func drawEpochs(train *EncodedSet, cfg TrainConfig, src *rng.Source, free <-chan *epochDraws, full chan<- *epochDraws, stop <-chan struct{}) {
+	order := make([]int, len(train.X))
+	for i := range order {
+		order[i] = i
+	}
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		var d *epochDraws
+		select {
+		case d = <-free:
+		case <-stop:
+			return
+		}
+		src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		copy(d.order, order)
+		for k, idx := range order {
+			d.x[k] = train.X[idx]
+			if cfg.InputAug != nil {
+				d.x[k] = cfg.InputAug(d.x[k], src)
+			}
+			d.noise[k] = nil
+			if cfg.OutputNoise != nil {
+				d.noise[k] = cfg.OutputNoise(train.Classes, src)
+			}
+		}
+		select {
+		case full <- d:
+		case <-stop:
+			return
+		}
+	}
 }
 
 // lnnStep is one hand-derived training step of the LNN loss

@@ -1,9 +1,12 @@
 package nn_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/autodiff"
 	"repro/internal/clocksync"
@@ -120,5 +123,70 @@ func TestTrainLNNStepZeroAlloc(t *testing.T) {
 	}
 	if short, long := allocs(2), allocs(20); short != long {
 		t.Fatalf("TrainLNN allocates %v times at 2 epochs but %v at 20: the step allocates per sample", short, long)
+	}
+}
+
+// TestTrainLNNWaitsForItsDrawGoroutine: TrainLNN returns, and panics, only
+// after the goroutine that makes its draws an epoch ahead has left
+// drawEpochs, so no goroutine outlives it — after a CDFA-augmented run,
+// after a step panics on a wrong-length input, and after the augmenter
+// itself panics on the draw goroutine (the panic reaches TrainLNN's
+// caller). In the wrong-length case a slow augmenter keeps the draw
+// goroutine inside drawEpochs, an epoch ahead, when the step panics; it
+// then waits for a free epoch buffer that never comes unless TrainLNN
+// stops it. The stacks are checked at once. The goroutine count gets up to
+// a second to settle: a goroutine still counts between its last channel
+// operation and the scheduler freeing it, and on a loaded host that can
+// outlast any number of yields.
+func TestTrainLNNWaitsForItsDrawGoroutine(t *testing.T) {
+	train := encodedQuick(t, "mnist", 1)
+	train.X, train.Labels = train.X[:100], train.Labels[:100]
+	cdfa := clocksync.Injector(clocksync.ScaledDetector(train.U), 1e6)
+	short := *train
+	short.X = append([][]complex128{train.X[0][:train.U-1]}, train.X[1:]...)
+	slow := func(x []complex128, src *rng.Source) []complex128 {
+		for start := time.Now(); time.Since(start) < 100*time.Microsecond; {
+		}
+		return cdfa(x, src)
+	}
+	calls := 0
+	failing := func(x []complex128, src *rng.Source) []complex128 {
+		if calls++; calls == 150 {
+			panic("augmenter failed")
+		}
+		return cdfa(x, src)
+	}
+	cases := []struct {
+		name      string
+		set       *nn.EncodedSet
+		aug       nn.InputAugmenter
+		wantPanic any
+	}{
+		{"cdfa", train, cdfa, nil},
+		{"wrong-length input", &short, slow, fmt.Sprintf("nn: %d-symbol input for a %dx%d network", train.U-1, train.Classes, train.U)},
+		{"augmenter panic", train, failing, "augmenter failed"},
+	}
+	for _, tc := range cases {
+		before := runtime.NumGoroutine()
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			nn.TrainLNN(tc.set, nn.TrainConfig{Seed: 1, Epochs: 5, InputAug: tc.aug})
+		}()
+		buf := make([]byte, 1<<20)
+		if buf = buf[:runtime.Stack(buf, true)]; bytes.Contains(buf, []byte("nn.drawEpochs")) {
+			t.Errorf("%s: a goroutine is still in drawEpochs after TrainLNN:\n%s", tc.name, buf)
+		}
+		if got != tc.wantPanic {
+			t.Errorf("%s: TrainLNN panicked with %v, want %v", tc.name, got, tc.wantPanic)
+		}
+		after := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); after != before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			after = runtime.NumGoroutine()
+		}
+		if after != before {
+			t.Errorf("%s: %d goroutines after TrainLNN, %d before", tc.name, after, before)
+		}
 	}
 }

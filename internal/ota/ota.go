@@ -302,13 +302,15 @@ func NewDeploymentSpan(w *cplx.Mat, opts Options, src *rng.Source, parent *trace
 	ssp.SetNum("classes", float64(w.Rows))
 	ssp.SetNum("u", float64(w.Cols))
 	ssp.SetNum("gamma", gamma)
+	targets := make([]complex128, len(w.Data))
+	for i, v := range w.Data {
+		targets[i] = compCorrect(v * complex(gamma, 0))
+	}
+	cfgs := solver.SolveAll(targets)
 	var sumSq float64
 	for r := 0; r < w.Rows; r++ {
-		d.Schedule[r] = make([]mts.Config, w.Cols)
-		for c := 0; c < w.Cols; c++ {
-			target := compCorrect(w.At(r, c) * complex(gamma, 0))
-			cfg, _ := solver.Solve(target)
-			d.Schedule[r][c] = cfg
+		d.Schedule[r] = cfgs[r*w.Cols : (r+1)*w.Cols]
+		for c, cfg := range d.Schedule[r] {
 			// The physically realized response uses the true phases.
 			h := truth.Response(cfg)
 			d.Realized.Set(r, c, h)
