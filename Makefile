@@ -54,9 +54,12 @@ faultgate:
 
 # recovergate is the crash-recovery acceptance gate, under -race: journal a
 # served epoch, kill without ceremony, corrupt the newest entry, and recover
-# the previous epoch with bit-identical accumulators and zero re-solves.
+# the previous epoch with bit-identical accumulators and zero re-solves; and
+# a replica's own start path (buildServerConfig), which recovers a cold
+# start's journaled epoch with the journaled monitor thresholds, the same
+# canary probes, and no stuck atoms sampled twice.
 recovergate:
-	$(GO) test -race -count=1 -run 'TestKillAndRecoverBitIdentity|TestRecoverSkipsCorruptEpochs' ./cmd/metaai-serve
+	$(GO) test -race -count=1 -run 'TestKillAndRecoverBitIdentity|TestRecoverSkipsCorruptEpochs|TestBuildServerConfigColdThenRecover' ./cmd/metaai-serve
 
 # obsgate asserts observability determinism: two seeded serve-path runs
 # must produce bit-identical metric fingerprints.
@@ -110,12 +113,15 @@ stitchgate:
 
 # cascadegate is the stacked-cascade compatibility gate: a K=1 deployment
 # must stay provably bit-identical to the classic single-surface path
-# (solver and deployment level), single-surface checkpoints must keep
+# (solver and deployment level), a restore must re-derive every field of
+# the deployment it snapshots, across option sets and a 3-layer cascade
+# (the constructors and FromState share one derivation), single-surface
+# checkpoints must keep
 # sealing at format version 1 byte-compatible with every pre-cascade build
 # while cascade state round-trips bit-identically at version 2, and a
 # journaled cascade epoch must recover bit-identically across a kill.
 cascadegate:
-	$(GO) test -count=1 -run 'TestCascadeK1BitIdentity' ./internal/mts ./internal/ota
+	$(GO) test -count=1 -run 'TestCascadeK1BitIdentity|TestStateRestoreMatchesInternals' ./internal/mts ./internal/ota
 	$(GO) test -count=1 -run 'TestCascadeStateSealsVersion2|TestCascadeDeploymentRoundtripBitIdentity|TestJournalRecoverSkipsCorruptCascade' ./internal/checkpoint
 	$(GO) test -count=1 -run 'TestKillAndRecoverCascadeBitIdentity' ./cmd/metaai-serve
 

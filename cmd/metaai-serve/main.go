@@ -45,7 +45,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -61,6 +60,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/events"
 	"repro/internal/obs/trace"
+	"repro/internal/ota"
 	"repro/internal/rng"
 )
 
@@ -246,10 +246,20 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, *c
 	cfg.Seed = opt.seed
 	cfg.Layers = opt.layers
 
+	// Each start picks its deployment, test set, meta, fault rates and
+	// monitor thresholds; the probes, faults and monitor are armed below
+	// alike.
+	var (
+		d    *ota.Deployment
+		test [][]complex128
+		pipe *core.Pipeline
+		th   checkpoint.Thresholds
+	)
+	rates := faults.Mix(opt.faultRate)
 	if recovered != nil {
 		// Warm start: the journal already holds the solved deployment.
-		d, err := restoreDeployment(recovered)
-		if err != nil {
+		var err error
+		if d, err = restoreDeployment(recovered); err != nil {
 			return serveCfg, nil, nil, err
 		}
 		log.Printf("recovered epoch %d (%s) from %s: zero re-train, zero re-solve",
@@ -263,77 +273,49 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, *c
 		events.Default().Emit(events.Recover, "serving state restored from journal",
 			events.Num("epoch_seq", float64(recovered.Seq)),
 			events.Str("reason", recovered.Reason))
-		serveCfg.deployment = d
-		serveCfg.reference = d
 		serveCfg.initialReason = "recover"
 		serveCfg.meta = recovered.Meta
-		serveCfg.meta.FaultRate = opt.faultRate
-
+		th = recovered.Th
 		// The encoded test set rebuilds cheaply (load + modulate, no
 		// training) and supplies the monitor and canary probes.
 		raw, err := dataset.Load(cfg.Dataset, cfg.Scale, cfg.Seed)
 		if err != nil {
 			return serveCfg, nil, nil, err
 		}
-		test := nn.EncodeSet(raw.Test, raw.Classes, nn.Encoder{Scheme: cfg.Scheme})
-		monProbes, canaryProbes := probeSets(test.X)
-		serveCfg.canaryProbes = canaryProbes
-
-		if opt.faultRate > 0 {
-			// The recovered responses already carry whatever static damage
-			// was baked in when the epoch was journaled, so only the
-			// DYNAMIC fault load re-arms; re-sampling stuck atoms on top of
-			// a healed deployment would damage it twice.
-			rates := faults.Mix(opt.faultRate)
-			rates.StuckAtomFrac = 0
-			inj, err := faults.New(d, rates, rng.New(opt.seed^0xfa017))
-			if err != nil {
-				return serveCfg, nil, nil, err
-			}
-			inj.SabotageHeal(opt.sabotage)
-			serveCfg.injector = inj
-			serveCfg.deployment = inj.Deployment()
-			log.Printf("dynamic fault injection re-armed at rate %.2f (static damage restored from the journal)", opt.faultRate)
+		test = nn.EncodeSet(raw.Test, raw.Classes, nn.Encoder{Scheme: cfg.Scheme}).X
+		// The recovered responses already carry whatever static damage was
+		// baked in when the epoch was journaled, so only the DYNAMIC fault
+		// load re-arms; re-sampling stuck atoms on top of a healed
+		// deployment would damage it twice.
+		rates.StuckAtomFrac = 0
+	} else {
+		// Cold start: train, deploy, and let the first epoch seed the journal.
+		log.Printf("training %s pipeline and solving MTS schedules...", opt.ds)
+		var err error
+		if pipe, err = core.New(cfg); err != nil {
+			return serveCfg, nil, nil, err
 		}
-		if opt.selfHeal {
-			if th := recovered.Th; th.Window > 0 {
-				serveCfg.monitor = mobility.NewMonitor(th.Threshold, th.Window)
-				log.Printf("self-healing re-armed from journaled thresholds: margin %.4f over a %d-readout window",
-					th.Threshold, th.Window)
-			} else {
-				serveCfg.monitor = mobility.CalibrateMonitor(
-					d.SessionFromSeed(opt.seed^0x4ea1), monProbes, opt.healFrac, opt.healWin)
-				log.Printf("self-healing re-armed: margin threshold %.4f over a %d-readout window",
-					serveCfg.monitor.Threshold(), opt.healWin)
-			}
+		log.Printf("deployed: %d classes, U=%d symbols, sim %.1f%%",
+			pipe.Train.Classes, pipe.Train.U, 100*pipe.SimAccuracy())
+		d = pipe.Deployment()
+		if n := d.Layers(); n > 1 {
+			log.Printf("stacked cascade: %d layers, hop noise %.3f", n, d.Options().HopNoise)
 		}
-		return serveCfg, journal, nil, nil
+		test = pipe.Test.X
+		serveCfg.meta = checkpoint.Meta{Dataset: opt.ds, Seed: opt.seed}
+		if cfg.Sync == core.SyncCoarse || cfg.Sync == core.SyncCDFA {
+			det := cfg.EffectiveDetector(pipe.Train.U)
+			serveCfg.meta.DetShape, serveCfg.meta.DetScale = det.Shape, det.Scale
+		}
 	}
-
-	// Cold start: train, deploy, and let the first epoch seed the journal.
-	log.Printf("training %s pipeline and solving MTS schedules...", opt.ds)
-	pipe, err := core.New(cfg)
-	if err != nil {
-		return serveCfg, nil, nil, err
-	}
-	log.Printf("deployed: %d classes, U=%d symbols, sim %.1f%%",
-		pipe.Train.Classes, pipe.Train.U, 100*pipe.SimAccuracy())
-	if n := pipe.Deployment().Layers(); n > 1 {
-		log.Printf("stacked cascade: %d layers, hop noise %.3f", n, pipe.Deployment().Options().HopNoise)
-	}
-
-	serveCfg.deployment = pipe.Deployment()
-	serveCfg.reference = pipe.Deployment()
-	serveCfg.meta = checkpoint.Meta{Dataset: opt.ds, Seed: opt.seed, FaultRate: opt.faultRate}
-	if cfg.Sync == core.SyncCoarse || cfg.Sync == core.SyncCDFA {
-		det := cfg.EffectiveDetector(pipe.Train.U)
-		serveCfg.meta.DetShape, serveCfg.meta.DetScale = det.Shape, det.Scale
-	}
-	monProbes, canaryProbes := probeSets(pipe.Test.X)
+	serveCfg.meta.FaultRate = opt.faultRate
+	serveCfg.deployment = d
+	serveCfg.reference = d
+	monProbes, canaryProbes := probeSets(test)
 	serveCfg.canaryProbes = canaryProbes
 
 	if opt.faultRate > 0 {
-		inj, err := faults.New(pipe.Deployment(), faults.Mix(opt.faultRate), rng.New(opt.seed^0xfa017))
+		inj, err := faults.New(d, rates, rng.New(opt.seed^0xfa017))
 		if err != nil {
 			return serveCfg, nil, nil, err
 		}
@@ -344,34 +326,27 @@ func buildServerConfig(opt serverOptions) (serverConfig, *checkpoint.Journal, *c
 			opt.faultRate, len(inj.StuckAtoms()), inj.ResidualError())
 	}
 	if opt.selfHeal {
-		// Calibrate the degradation threshold against the HEALTHY
-		// deployment's margins, before any injected damage, on a session
-		// of its own as recovery does: the bound default session is left
-		// to the offline air accuracy.
-		serveCfg.monitor = mobility.CalibrateMonitor(
-			pipe.Deployment().SessionFromSeed(opt.seed^0x4ea1), monProbes, opt.healFrac, opt.healWin)
+		if th.Window > 0 {
+			serveCfg.monitor = mobility.NewMonitor(th.Threshold, th.Window)
+		} else {
+			// Calibrate the degradation threshold against the HEALTHY
+			// deployment's margins, before any injected damage, on a
+			// session of its own: a cold start's bound default session is
+			// left to the offline air accuracy.
+			serveCfg.monitor = mobility.CalibrateMonitor(
+				d.SessionFromSeed(opt.seed^0x4ea1), monProbes, opt.healFrac, opt.healWin)
+		}
 		log.Printf("self-healing armed: margin threshold %.4f over a %d-readout window",
-			serveCfg.monitor.Threshold(), opt.healWin)
+			serveCfg.monitor.Threshold(), serveCfg.monitor.Window())
 	}
 	return serveCfg, journal, pipe, nil
 }
 
-// snapshotSource supplies the metrics snapshot a replica piggybacks on
-// fleet heartbeat replies, counters live with or without timing, for the
-// router's fleet-wide view. Encoding is not cheap, so the blob is
-// re-encoded at most twice a second and served from cache between.
-func snapshotSource() func() []byte {
-	var mu sync.Mutex
-	var at time.Time
-	var blob []byte
-	return func() []byte {
-		mu.Lock()
-		defer mu.Unlock()
-		if now := time.Now(); blob == nil || now.Sub(at) > 500*time.Millisecond {
-			blob, at = obs.EncodeSnapshot(obs.Default().Snapshot()), now
-		}
-		return blob
-	}
+// snapshotSource encodes the metrics snapshot a replica piggybacks on each
+// fleet heartbeat reply, counters live with or without timing, for the
+// router's fleet-wide view.
+func snapshotSource() []byte {
+	return obs.EncodeSnapshot(obs.Default().Snapshot())
 }
 
 func runServer(addr string, opt serverOptions, sidecar *http.Server) error {
@@ -380,7 +355,7 @@ func runServer(addr string, opt serverOptions, sidecar *http.Server) error {
 		return err
 	}
 	srv := newAirServer(serveCfg)
-	srv.fleetAgent.SetSnapshotSource(snapshotSource())
+	srv.fleetAgent.SetSnapshotSource(snapshotSource)
 
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {

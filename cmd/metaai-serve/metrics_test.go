@@ -100,7 +100,7 @@ func TestSnapshotSourceCountsWithObsDisabled(t *testing.T) {
 	servedCount.Add(3)
 	want := servedCount.Value()
 	agent := fleet.NewAgent(nil)
-	agent.SetSnapshotSource(snapshotSource())
+	agent.SetSnapshotSource(snapshotSource)
 	reply, ok := agent.HandleFrame(airproto.Heartbeat(7))
 	if !ok || reply.Snapshot() == nil {
 		t.Fatal("heartbeat reply carries no snapshot with obs disabled")
@@ -111,5 +111,30 @@ func TestSnapshotSourceCountsWithObsDisabled(t *testing.T) {
 	}
 	if got := snap.Counters["serve.served"]; got != want {
 		t.Fatalf("piggybacked serve.served = %d, want %d", got, want)
+	}
+}
+
+// TestHeartbeatSnapshotIsFresh: every heartbeat reply carries the counters
+// as they stand when it is answered, so a router's KindStats sums trail a
+// replica by at most one heartbeat period.
+func TestHeartbeatSnapshotIsFresh(t *testing.T) {
+	agent := fleet.NewAgent(nil)
+	agent.SetSnapshotSource(snapshotSource)
+	served := func(id uint32) int64 {
+		t.Helper()
+		reply, ok := agent.HandleFrame(airproto.Heartbeat(id))
+		if !ok || reply.Snapshot() == nil {
+			t.Fatal("heartbeat reply carries no snapshot")
+		}
+		snap, err := obs.DecodeSnapshot(reply.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Counters["serve.served"]
+	}
+	first := served(1)
+	servedCount.Inc()
+	if got := served(2); got != first+1 {
+		t.Fatalf("second heartbeat reply carries serve.served %d, want %d", got, first+1)
 	}
 }

@@ -445,3 +445,80 @@ func TestServeShutdownFlushOrdering(t *testing.T) {
 		t.Fatalf("journal unrecoverable after clean exit: %+v, %v", ep, err)
 	}
 }
+
+// TestBuildServerConfigColdThenRecover drives both of a replica's start
+// paths through buildServerConfig: a cold start with fault injection and
+// self-healing journals its first epoch into a fresh state directory, and a
+// second start over that directory recovers it — re-arming only the dynamic
+// fault load, the journaled monitor thresholds and the same canary probes.
+func TestBuildServerConfigColdThenRecover(t *testing.T) {
+	opt := serverOptions{
+		ds: "mnist", seed: 1, layers: 1, workers: 1,
+		faultRate: 0.5, selfHeal: true, healFrac: 0.5, healWin: 32,
+		healEvery: time.Hour, canaryFrac: 0.8, rollbackFrac: 0.75,
+		stateDir: t.TempDir(),
+	}
+	cold, journal, pipe, err := buildServerConfig(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pipe == nil {
+		t.Fatal("a cold start returned no pipeline for the offline-accuracy log")
+	}
+	if cold.injector == nil || len(cold.injector.StuckAtoms()) == 0 {
+		t.Fatal("cold start sampled no stuck atoms at fault rate 0.5")
+	}
+	if cold.monitor == nil {
+		t.Fatal("cold start armed no monitor with -self-heal")
+	}
+	cold.logf = t.Logf
+	if srv := newAirServer(cold); srv.epochSeq.Load() != 1 {
+		t.Fatalf("cold start journaled its first epoch as seq %d, want 1", srv.epochSeq.Load())
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, journal2, pipe2, err := buildServerConfig(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal2.Close()
+	if pipe2 != nil {
+		t.Fatal("a recovery returned a pipeline")
+	}
+	if warm.initialReason != "recover" {
+		t.Fatalf("initialReason %q, want recover", warm.initialReason)
+	}
+	if warm.injector == nil {
+		t.Fatal("recovery did not re-arm fault injection")
+	}
+	if n := len(warm.injector.StuckAtoms()); n != 0 {
+		t.Fatalf("recovery sampled %d new stuck atoms over the journaled damage", n)
+	}
+	if warm.monitor == nil {
+		t.Fatal("recovery did not re-arm self-healing")
+	}
+	if warm.monitor.Threshold() != cold.monitor.Threshold() || warm.monitor.Window() != cold.monitor.Window() {
+		t.Fatalf("recovered monitor (%v, %d), journaled (%v, %d)",
+			warm.monitor.Threshold(), warm.monitor.Window(), cold.monitor.Threshold(), cold.monitor.Window())
+	}
+	if warm.meta.FaultRate != opt.faultRate || cold.meta.FaultRate != opt.faultRate {
+		t.Fatalf("meta fault rate %v (cold) / %v (recovered), want %v", cold.meta.FaultRate, warm.meta.FaultRate, opt.faultRate)
+	}
+	if len(warm.canaryProbes) == 0 || len(warm.canaryProbes) != len(cold.canaryProbes) {
+		t.Fatalf("canary probes: %d recovered, %d cold", len(warm.canaryProbes), len(cold.canaryProbes))
+	}
+	for k := range cold.canaryProbes {
+		a, b := cold.canaryProbes[k], warm.canaryProbes[k]
+		if len(a) != len(b) {
+			t.Fatalf("canary probe %d has %d symbols recovered, %d cold", k, len(b), len(a))
+		}
+		for i := range a {
+			if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+				math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+				t.Fatalf("canary probe %d symbol %d differs between starts", k, i)
+			}
+		}
+	}
+}

@@ -592,7 +592,7 @@ func (s *airServer) serve(conn netchaos.PacketConn) error {
 		if frame.Kind >= airproto.KindHeartbeat {
 			// Fleet-control frames (router heartbeats, chunked epoch pushes)
 			// are answered inline: a heartbeat reply is an atomic load plus a
-			// throttled snapshot, and a chunk ack is a copy. The one expensive
+			// snapshot encode (tens of µs), and a chunk ack is a copy. The one expensive
 			// case — the final chunk's apply — happens once per fleet
 			// publication, and the kernel buffers data frames for the few
 			// milliseconds it takes.

@@ -376,30 +376,6 @@ func decodeThresholds(r *reader) (Thresholds, error) {
 	return th, nil
 }
 
-// EncodeThresholds seals a monitor parameterization.
-func EncodeThresholds(th Thresholds) []byte {
-	var w writer
-	encodeThresholds(&w, th)
-	return seal(KindThresholds, w.buf)
-}
-
-// DecodeThresholds rebuilds a monitor parameterization.
-func DecodeThresholds(b []byte) (Thresholds, error) {
-	payload, _, err := open(KindThresholds, b)
-	if err != nil {
-		return Thresholds{}, err
-	}
-	r := &reader{b: payload}
-	th, err := decodeThresholds(r)
-	if err != nil {
-		return Thresholds{}, err
-	}
-	if err := r.done(); err != nil {
-		return Thresholds{}, err
-	}
-	return th, nil
-}
-
 // Meta carries the serving context a recovered epoch needs but a
 // DeploymentState cannot express: which dataset the deployment serves, the
 // seed lineage, the clock-sync detector the SyncSampler must be rebuilt
@@ -471,7 +447,7 @@ func DecodeEpoch(b []byte) (*Epoch, error) {
 }
 
 // Decode dispatches on the sealed kind and returns the decoded value —
-// *nn.ComplexLNN, *ota.DeploymentState, Thresholds, or *Epoch. It is the
+// *nn.ComplexLNN, *ota.DeploymentState, *Epoch, or *FleetState. It is the
 // fuzz entry point: any input must either decode cleanly or fail with a
 // typed error, never panic.
 func Decode(b []byte) (any, error) {
@@ -484,8 +460,6 @@ func Decode(b []byte) (any, error) {
 		return DecodeModel(b)
 	case KindDeployment:
 		return DecodeDeployment(b)
-	case KindThresholds:
-		return DecodeThresholds(b)
 	case KindEpoch:
 		return DecodeEpoch(b)
 	case KindFleet:

@@ -123,17 +123,6 @@ func TestDeploymentRoundtripBitIdentity(t *testing.T) {
 	}
 }
 
-func TestThresholdsRoundtrip(t *testing.T) {
-	th := Thresholds{Threshold: 0.123456789, Window: 48}
-	got, err := DecodeThresholds(EncodeThresholds(th))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != th {
-		t.Fatalf("got %+v, want %+v", got, th)
-	}
-}
-
 func TestEpochRoundtrip(t *testing.T) {
 	e := testEpoch(t, 13)
 	e.Seq = 42
@@ -157,8 +146,8 @@ func TestDecodeDispatch(t *testing.T) {
 	blobs := map[Kind][]byte{
 		KindModel:      EncodeModel(m),
 		KindDeployment: EncodeDeployment(testEpoch(t, 17).State),
-		KindThresholds: EncodeThresholds(Thresholds{Threshold: 1, Window: 4}),
 		KindEpoch:      EncodeEpoch(testEpoch(t, 19)),
+		KindFleet:      EncodeFleetState(&FleetState{PubSeq: 3}),
 	}
 	for kind, b := range blobs {
 		v, err := Decode(b)
@@ -174,13 +163,13 @@ func TestDecodeDispatch(t *testing.T) {
 			if _, ok := v.(*ota.DeploymentState); !ok {
 				t.Fatalf("deployment decoded as %T", v)
 			}
-		case KindThresholds:
-			if _, ok := v.(Thresholds); !ok {
-				t.Fatalf("thresholds decoded as %T", v)
-			}
 		case KindEpoch:
 			if _, ok := v.(*Epoch); !ok {
 				t.Fatalf("epoch decoded as %T", v)
+			}
+		case KindFleet:
+			if _, ok := v.(*FleetState); !ok {
+				t.Fatalf("fleet state decoded as %T", v)
 			}
 		}
 	}
@@ -192,11 +181,11 @@ func TestDecodeDispatch(t *testing.T) {
 // CRC itself also mismatches), wrong magic/version/kind are identified, and
 // none of it panics.
 func TestDecodeRejects(t *testing.T) {
-	sealed := EncodeThresholds(Thresholds{Threshold: 0.5, Window: 16})
+	sealed := EncodeModel(nn.NewComplexLNN(2, 3))
 
 	t.Run("truncations", func(t *testing.T) {
 		for n := 0; n < len(sealed); n++ {
-			if _, err := DecodeThresholds(sealed[:n]); err == nil {
+			if _, err := DecodeModel(sealed[:n]); err == nil {
 				t.Fatalf("accepted a %d-byte prefix of a %d-byte checkpoint", n, len(sealed))
 			}
 		}
@@ -206,7 +195,7 @@ func TestDecodeRejects(t *testing.T) {
 		for i := 0; i < len(sealed)*8; i++ {
 			mut := append([]byte(nil), sealed...)
 			mut[i/8] ^= 1 << (i % 8)
-			if _, err := DecodeThresholds(mut); err == nil {
+			if _, err := DecodeModel(mut); err == nil {
 				t.Fatalf("accepted a checkpoint with bit %d flipped", i)
 			}
 		}
@@ -215,13 +204,13 @@ func TestDecodeRejects(t *testing.T) {
 	t.Run("badMagic", func(t *testing.T) {
 		mut := append([]byte(nil), sealed...)
 		copy(mut, "NOPE")
-		if _, err := DecodeThresholds(mut); !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeModel(mut); !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("got %v", err)
 		}
 	})
 
 	t.Run("wrongKind", func(t *testing.T) {
-		if _, err := DecodeModel(sealed); !errors.Is(err, ErrKind) {
+		if _, err := DecodeFleetState(sealed); !errors.Is(err, ErrKind) {
 			t.Fatalf("got %v, want ErrKind", err)
 		}
 	})
@@ -230,26 +219,23 @@ func TestDecodeRejects(t *testing.T) {
 		mut := append([]byte(nil), sealed...)
 		mut[4] = 0xFF // version low byte
 		reCRC(mut)    // valid CRC, so the version check itself must fire
-		if _, err := DecodeThresholds(mut); !errors.Is(err, ErrVersion) {
+		if _, err := DecodeModel(mut); !errors.Is(err, ErrVersion) {
 			t.Fatalf("got %v, want ErrVersion", err)
 		}
 	})
 
 	t.Run("trailingGarbage", func(t *testing.T) {
 		mut := append(append([]byte(nil), sealed...), 0xAA)
-		if _, err := DecodeThresholds(mut); err == nil {
+		if _, err := DecodeModel(mut); err == nil {
 			t.Fatal("accepted trailing garbage")
 		}
 	})
 
 	t.Run("lyingPayloadLength", func(t *testing.T) {
-		var w writer
-		w.f64(0.5)
-		w.u32(16)
-		mut := seal(KindThresholds, w.buf)
+		mut := append([]byte(nil), sealed...)
 		mut[8]++ // claim one more payload byte than present
 		reCRC(mut)
-		if _, err := DecodeThresholds(mut); !errors.Is(err, ErrTruncated) {
+		if _, err := DecodeModel(mut); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("got %v, want ErrTruncated", err)
 		}
 	})
@@ -372,14 +358,6 @@ func TestJournalAppendRecover(t *testing.T) {
 	}
 	if got.Seq != 2 || got.Reason != "heal" {
 		t.Fatalf("recovered epoch %d (%s), want 2 (heal)", got.Seq, got.Reason)
-	}
-
-	prev, err := j.RecoverBefore(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prev.Seq != 1 || prev.Reason != "deploy" {
-		t.Fatalf("RecoverBefore(2) gave epoch %d (%s)", prev.Seq, prev.Reason)
 	}
 
 	// A reopened journal continues the sequence.

@@ -42,10 +42,9 @@ const (
 	KindModel Kind = 1
 	// KindDeployment is a full ota.DeploymentState snapshot.
 	KindDeployment Kind = 2
-	// KindThresholds is a mobility.Monitor parameterization.
-	KindThresholds Kind = 3
-	// KindEpoch is a served epoch: deployment + thresholds + serving
-	// metadata, the unit the WAL journal appends.
+	// KindEpoch is a served epoch: deployment + monitor thresholds +
+	// serving metadata, the unit the WAL journal appends. Kind 3, once a
+	// standalone thresholds checkpoint, is not reused.
 	KindEpoch Kind = 4
 	// KindFleet is a fleet coordinator's durable state: publication
 	// sequence, membership, and the current committed epoch bytes (see
@@ -59,8 +58,6 @@ func (k Kind) String() string {
 		return "model"
 	case KindDeployment:
 		return "deployment"
-	case KindThresholds:
-		return "thresholds"
 	case KindEpoch:
 		return "epoch"
 	case KindFleet:

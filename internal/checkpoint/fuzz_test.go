@@ -24,7 +24,9 @@ func FuzzDecode(f *testing.F) {
 	e := buildEpoch(97)
 	epochBlob := EncodeEpoch(e)
 	deployBlob := EncodeDeployment(e.State)
-	thBlob := EncodeThresholds(Thresholds{Threshold: 0.25, Window: 16})
+	// A coordinator state with no members and no epoch: the smallest sealed
+	// envelope, the base of the header mutations below.
+	bareBlob := EncodeFleetState(&FleetState{PubSeq: 1})
 	// Version-2 cascade state exercises the layer block decoder.
 	ce := buildCascadeEpoch(101)
 	cascadeEpochBlob := EncodeEpoch(ce)
@@ -40,7 +42,7 @@ func FuzzDecode(f *testing.F) {
 		[]byte(magic),
 		modelBlob,
 		deployBlob,
-		thBlob,
+		bareBlob,
 		epochBlob,
 		epochBlob[:len(epochBlob)/2],
 		append([]byte(nil), epochBlob[headerLen:]...),
@@ -51,7 +53,7 @@ func FuzzDecode(f *testing.F) {
 		fleetBlob[:len(fleetBlob)/2],
 	}
 	// Mutated variants: flipped kind, zeroed CRC, elevated version.
-	for _, base := range [][]byte{modelBlob, thBlob} {
+	for _, base := range [][]byte{modelBlob, bareBlob} {
 		mut := append([]byte(nil), base...)
 		mut[6] = byte(KindEpoch)
 		reCRC(mut)
@@ -78,8 +80,6 @@ func FuzzDecode(f *testing.F) {
 			again = EncodeModel(x)
 		case *ota.DeploymentState:
 			again = EncodeDeployment(x)
-		case Thresholds:
-			again = EncodeThresholds(x)
 		case *Epoch:
 			again = EncodeEpoch(x)
 		case *FleetState:

@@ -99,21 +99,11 @@ func (j *Journal) Append(e *Epoch) (uint64, error) {
 // counter). ErrNoEpoch means the journal exists but nothing in it can be
 // served.
 func (j *Journal) Recover() (*Epoch, error) {
-	return j.RecoverBefore(0)
-}
-
-// RecoverBefore is Recover restricted to entries with sequence < seq
-// (seq == 0 means unrestricted). It is the rollback primitive: "the newest
-// good epoch that is not the one that just regressed".
-func (j *Journal) RecoverBefore(seq uint64) (*Epoch, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	seqs := j.sequences()
 	var firstErr error
 	for i := len(seqs) - 1; i >= 0; i-- {
-		if seq != 0 && seqs[i] >= seq {
-			continue
-		}
 		b, err := ReadFile(j.path(seqs[i]))
 		if err == nil {
 			var e *Epoch

@@ -94,8 +94,8 @@ func (a *Agent) FleetVersion() (seq uint64, nonce uint32) {
 
 // SetSnapshotSource installs (or, with nil, removes) the callback that
 // supplies an encoded obs.Snapshot blob for heartbeat-reply piggybacking.
-// The serving binary always wires a throttled obs.EncodeSnapshot of its
-// default registry here. Safe to call concurrently with HandleFrame.
+// The serving binary always wires an obs.EncodeSnapshot of its default
+// registry here, called once per heartbeat reply. Safe to call concurrently with HandleFrame.
 func (a *Agent) SetSnapshotSource(src func() []byte) {
 	if src == nil {
 		a.snapSource.Store(nil)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/channel"
 	"repro/internal/cplx"
 	"repro/internal/mts"
 	"repro/internal/obs/trace"
@@ -51,173 +50,41 @@ func cascadeNoiseBoost(hop float64, power []float64) float64 {
 	return boost
 }
 
-// newCascadeDeploymentSpan builds a stacked-surface deployment: the joint
-// layer-wise solve against the end-to-end targets, the composed realized
-// responses the sessions play, and the cascade-aware derived statistics.
-// NewDeploymentSpan dispatches here whenever Options.Stack is non-empty;
-// the single-surface path never reaches this file.
-func newCascadeDeploymentSpan(w *cplx.Mat, opts Options, src *rng.Source, parent *trace.Span) (*Deployment, error) {
-	if opts.Surface == nil {
-		return nil, fmt.Errorf("ota: Deploy requires a surface")
+// cascadeTables prepares a stack's solve: the joint layer-wise solver over
+// every layer's ideal surface, solver-frame phases and composition scale,
+// run target by target into the layer schedules and the composed realized
+// responses the sessions play.
+func cascadeTables(d *Deployment, ideal []*mts.Surface) solveFunc {
+	solver := &mts.CascadeSolver{
+		Surfaces: ideal,
+		Paths:    append([][]float64{d.estPP}, d.layerEstPP...),
+		Scales:   append([]complex128{complex(d.power[0], 0)}, d.layerScale...),
 	}
-	if opts.TargetScale <= 0 || opts.TargetScale > 1 {
-		return nil, fmt.Errorf("ota: TargetScale %v out of (0, 1]", opts.TargetScale)
-	}
-	if opts.SubSamples < 0 || opts.SubSamples%2 == 1 {
-		return nil, fmt.Errorf("ota: SubSamples %d must be 0 or a positive even count", opts.SubSamples)
-	}
-	if opts.SymbolRateHz <= 0 {
-		opts.SymbolRateHz = 1e6
-	}
-	if opts.CompensateEnv {
-		return nil, fmt.Errorf("ota: CompensateEnv (Eqn 8) calibrates a single MTS path; it is not supported with a cascade Stack")
-	}
-	if opts.HopNoise < 0 {
-		return nil, fmt.Errorf("ota: negative HopNoise %v", opts.HopNoise)
-	}
-	layers := 1 + len(opts.Stack)
-	for k, lay := range opts.Stack {
-		if lay.Surface == nil {
-			return nil, fmt.Errorf("ota: cascade layer %d has no surface", k+1)
-		}
-	}
-	power := opts.LayerPower
-	if power == nil {
-		power = unitPower(layers)
-	}
-	if len(power) != layers {
-		return nil, fmt.Errorf("ota: LayerPower carries %d amplitudes for %d layers", len(power), layers)
-	}
-	for k, p := range power {
-		if p <= 0 || math.IsInf(p, 0) || math.IsNaN(p) {
-			return nil, fmt.Errorf("ota: layer %d drive amplitude %v out of (0, ∞)", k, p)
-		}
-	}
-	switches := 1
-	if opts.SubSamples > 0 {
-		switches = opts.SubSamples
-	}
-	// Every layer replays the schedule at the full reconfiguration rate; the
-	// control plane must sustain it per surface.
-	if err := opts.Controller.ValidateSchedule(opts.Surface.Atoms(), opts.SymbolRateHz, switches); err != nil {
-		return nil, err
-	}
-	for k, lay := range opts.Stack {
-		if err := opts.Controller.ValidateSchedule(lay.Surface.Atoms(), opts.SymbolRateHz, switches); err != nil {
-			return nil, fmt.Errorf("ota: cascade layer %d: %w", k+1, err)
-		}
-	}
-
-	// Solver-side knowledge mirrors the single-surface path: the primary
-	// Rx angle is beam-scanned when configured, every solver frame uses an
-	// ideal (fabrication-free) copy of each layer's surface.
-	estGeom := opts.Geometry
-	if opts.BeamScanStepDeg > 0 {
-		ideal, err := mts.NewSurface(opts.Surface.Rows, opts.Surface.Cols, opts.Surface.Bits, opts.Surface.FreqGHz, nil)
-		if err != nil {
-			return nil, err
-		}
-		estGeom.RxAngleDeg = ideal.BeamScan(opts.Geometry, opts.BeamScanStepDeg)
-	}
-	idealSurface, err := mts.NewSurface(opts.Surface.Rows, opts.Surface.Cols, opts.Surface.Bits, opts.Surface.FreqGHz, nil)
-	if err != nil {
-		return nil, err
-	}
-	estPP := idealSurface.PathPhases(estGeom)
-	truePP := opts.Surface.PathPhases(opts.Geometry)
-
-	solverSurfaces := []*mts.Surface{idealSurface}
-	solverPaths := [][]float64{estPP}
-	scales := []complex128{complex(power[0], 0)}
-	layerEstPP := make([][]float64, len(opts.Stack))
-	layerTruePP := make([][]float64, len(opts.Stack))
-	layerScale := make([]complex128, len(opts.Stack))
-	for k, lay := range opts.Stack {
-		s := lay.Surface
-		idealLayer, err := mts.NewSurface(s.Rows, s.Cols, s.Bits, s.FreqGHz, nil)
-		if err != nil {
-			return nil, err
-		}
-		layerEstPP[k] = idealLayer.PathPhases(lay.Geometry)
-		layerTruePP[k] = s.PathPhases(lay.Geometry)
-		maxRk := idealLayer.MaxResponse(layerEstPP[k])
-		if maxRk == 0 {
-			return nil, fmt.Errorf("ota: cascade layer %d has a degenerate maximum response", k+1)
-		}
-		// Normalizing each extra layer by its achievable maximum makes the
-		// layer a unit-gain relay at drive 1: the cascade's dynamic range
-		// stays anchored to the primary's array factor, and LayerPower
-		// scales each hop around that unit operating point.
-		layerScale[k] = complex(power[k+1]/maxRk, 0)
-		solverSurfaces = append(solverSurfaces, idealLayer)
-		solverPaths = append(solverPaths, layerEstPP[k])
-		scales = append(scales, layerScale[k])
-	}
-
-	maxR := idealSurface.MaxResponse(estPP)
-	maxW := w.MaxAbs()
-	if maxW == 0 {
-		return nil, fmt.Errorf("ota: weight matrix is all zeros")
-	}
-	gain := 1.0
-	for _, p := range power {
-		gain *= p
-	}
-	gamma := opts.TargetScale * maxR * gain / maxW
-
-	d := &Deployment{
-		opts:          opts,
-		Schedule:      make([][]mts.Config, w.Rows),
-		Realized:      cplx.NewMat(w.Rows, w.Cols),
-		Gamma:         gamma,
-		EstRxAngleDeg: estGeom.RxAngleDeg,
-		classes:       w.Rows,
-		u:             w.Cols,
-		ch:            channel.New(opts.Channel),
-		power:         power,
-		layerScale:    layerScale,
-		layerEstPP:    layerEstPP,
-		layerTruePP:   layerTruePP,
-		noiseBoost:    cascadeNoiseBoost(opts.HopNoise, power),
-	}
-	d.truePP = truePP
-	d.estPP = estPP
-	d.layerSched = make([][][]mts.Config, len(opts.Stack))
-	for k := range d.layerSched {
-		d.layerSched[k] = make([][]mts.Config, w.Rows)
-	}
-	solver := &mts.CascadeSolver{Surfaces: solverSurfaces, Paths: solverPaths, Scales: scales}
-	ssp := mts.StartSolveSpan(parent, "cascade", w.Rows*w.Cols)
-	ssp.SetNum("classes", float64(w.Rows))
-	ssp.SetNum("u", float64(w.Cols))
-	ssp.SetNum("gamma", gamma)
-	ssp.SetNum("layers", float64(layers))
-	var sumSq float64
-	for r := 0; r < w.Rows; r++ {
-		d.Schedule[r] = make([]mts.Config, w.Cols)
+	return func(targets []complex128, parent *trace.Span) {
+		ssp := d.startSolveSpan(parent, "cascade")
+		ssp.SetNum("layers", float64(d.Layers()))
+		d.layerSched = make([][][]mts.Config, len(d.opts.Stack))
 		for k := range d.layerSched {
-			d.layerSched[k][r] = make([]mts.Config, w.Cols)
+			d.layerSched[k] = make([][]mts.Config, d.classes)
 		}
-		for c := 0; c < w.Cols; c++ {
-			target := w.At(r, c) * complex(gamma, 0)
-			cfgs, _ := solver.Solve(target)
-			d.Schedule[r][c] = cfgs[0]
+		for r := range d.Schedule {
+			d.Schedule[r] = make([]mts.Config, d.u)
 			for k := range d.layerSched {
-				d.layerSched[k][r][c] = cfgs[k+1]
+				d.layerSched[k][r] = make([]mts.Config, d.u)
 			}
-			h := d.composedRealizedAt(r, c)
-			d.Realized.Set(r, c, h)
-			sumSq += real(h)*real(h) + imag(h)*imag(h)
+			for c := range d.Schedule[r] {
+				cfgs, _ := solver.Solve(targets[r*d.u+c])
+				d.Schedule[r][c] = cfgs[0]
+				for k := range d.layerSched {
+					d.layerSched[k][r][c] = cfgs[k+1]
+				}
+				d.Realized.Set(r, c, d.composedRealizedAt(r, c))
+			}
 		}
+		ssp.End()
+		cascadeDeploys.Inc()
+		cascadeLayers.Set(float64(d.Layers()))
 	}
-	ssp.End()
-	d.sigRMS = math.Sqrt(sumSq / float64(len(d.Realized.Data)))
-	d.envScale = d.sigRMS
-	d.refreshDerived(opts.Geometry)
-	d.setJitterMoments()
-	cascadeDeploys.Inc()
-	cascadeLayers.Set(float64(layers))
-	return d, nil
 }
 
 // composedRealizedAt evaluates the physically realized end-to-end response

@@ -67,8 +67,8 @@ func matsBitIdentical(a, b *cplx.Mat) bool {
 // cascadegate contract: running the CASCADE builder at depth 1 (empty
 // stack) must reproduce the seed single-surface deployment byte for byte —
 // gamma, schedule, realized responses, and the accumulators of sessions
-// with equal seeds. The single-surface path itself is untouched by the
-// refactor's dispatch, so this proves the two constructions coincide.
+// with equal seeds. Both constructors share every step but their solve, so
+// this proves the two solves coincide.
 func TestCascadeK1BitIdentityDeployment(t *testing.T) {
 	w := testWeights(4, 12, 9)
 	opts := cascadeTestOptions(t, 1) // no extra layers
@@ -76,7 +76,12 @@ func TestCascadeK1BitIdentityDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	casc, err := newCascadeDeploymentSpan(w, opts, rng.New(77), nil)
+	// The cascade path at depth 1: the shared derivation with the
+	// cascade's per-target solve, its lone layer at unit drive.
+	casc, err := deploy(w, opts, rng.New(77), nil, func(d *Deployment, ideal []*mts.Surface) solveFunc {
+		d.power = unitPower(1)
+		return cascadeTables(d, ideal)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

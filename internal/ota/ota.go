@@ -205,68 +205,62 @@ func NewDeployment(w *cplx.Mat, opts Options, src *rng.Source) (*Deployment, err
 // itself is bit-identical, since spans never touch src.
 func NewDeploymentSpan(w *cplx.Mat, opts Options, src *rng.Source, parent *trace.Span) (*Deployment, error) {
 	if len(opts.Stack) > 0 {
-		// Stacked cascade: the joint layer-wise solve lives in cascade.go.
-		// The single-surface path below is untouched by the dispatch, which
-		// is what makes K=1 provably bit-identical to the seed system.
-		return newCascadeDeploymentSpan(w, opts, src, parent)
+		// A stacked cascade solves its layers jointly, target by target
+		// (cascade.go). The single-surface solve never reaches it, which is
+		// what makes K=1 provably bit-identical to the seed system.
+		return deploy(w, opts, src, parent, cascadeTables)
 	}
-	if opts.Surface == nil {
-		return nil, fmt.Errorf("ota: Deploy requires a surface")
-	}
-	if opts.TargetScale <= 0 || opts.TargetScale > 1 {
-		return nil, fmt.Errorf("ota: TargetScale %v out of (0, 1]", opts.TargetScale)
-	}
-	if opts.SubSamples < 0 || opts.SubSamples%2 == 1 {
-		return nil, fmt.Errorf("ota: SubSamples %d must be 0 or a positive even count", opts.SubSamples)
-	}
-	if opts.SymbolRateHz <= 0 {
-		opts.SymbolRateHz = 1e6
-	}
-	switches := 1
-	if opts.SubSamples > 0 {
-		switches = opts.SubSamples
-	}
-	if err := opts.Controller.ValidateSchedule(opts.Surface.Atoms(), opts.SymbolRateHz, switches); err != nil {
+	return deploy(w, opts, src, parent, surfaceTables)
+}
+
+// solveFunc is a deployment's weight-dependent step, built from the frame
+// before any weight is read: it fills the schedules and the realized
+// responses for the scaled targets (row-major), under the solve span.
+type solveFunc func(targets []complex128, parent *trace.Span)
+
+// deploy derives a deployment from trained weights. Everything that needs
+// no weights comes first — the option check, the beam scan, the frame and
+// the solver tables (built by tables) — then gamma, the Eqn 8 calibration
+// and the solve, and last the finishing step FromState shares.
+func deploy(w *cplx.Mat, opts Options, src *rng.Source, parent *trace.Span, tables func(*Deployment, []*mts.Surface) solveFunc) (*Deployment, error) {
+	if err := checkOptions(&opts); err != nil {
 		return nil, err
 	}
-	if opts.CompensateEnv && opts.SubSamples > 0 {
-		return nil, fmt.Errorf("ota: CompensateEnv (Eqn 8) and multipath cancellation (SubSamples > 0) are alternative schemes; enable one")
-	}
-
 	// Deployment-side geometry knowledge: the Tx-MTS placement is fixed and
 	// known; the Rx angle is beam-scanned when a scan step is configured.
 	// The solver also has no access to per-atom fabrication offsets.
-	estGeom := opts.Geometry
+	estRx := opts.Geometry.RxAngleDeg
 	if opts.BeamScanStepDeg > 0 {
-		ideal, err := mts.NewSurface(opts.Surface.Rows, opts.Surface.Cols, opts.Surface.Bits, opts.Surface.FreqGHz, nil)
+		scan, err := idealCopy(opts.Surface)
 		if err != nil {
 			return nil, err
 		}
-		estGeom.RxAngleDeg = ideal.BeamScan(opts.Geometry, opts.BeamScanStepDeg)
+		estRx = scan.BeamScan(opts.Geometry, opts.BeamScanStepDeg)
 	}
-	idealSurface, err := mts.NewSurface(opts.Surface.Rows, opts.Surface.Cols, opts.Surface.Bits, opts.Surface.FreqGHz, nil)
+	d, ideal, err := newFrame(opts, estRx)
 	if err != nil {
 		return nil, err
 	}
-	estPP := idealSurface.PathPhases(estGeom)
-	truePP := opts.Surface.PathPhases(opts.Geometry)
+	maxR := ideal[0].MaxResponse(d.estPP)
+	solve := tables(d, ideal)
 
-	maxR := idealSurface.MaxResponse(estPP)
 	maxW := w.MaxAbs()
 	if maxW == 0 {
 		return nil, fmt.Errorf("ota: weight matrix is all zeros")
 	}
-	gamma := opts.TargetScale * maxR / maxW
-
-	d := &Deployment{
-		opts:          opts,
-		Schedule:      make([][]mts.Config, w.Rows),
-		Realized:      cplx.NewMat(w.Rows, w.Cols),
-		Gamma:         gamma,
-		EstRxAngleDeg: estGeom.RxAngleDeg,
-		classes:       w.Rows,
-		u:             w.Cols,
-		ch:            channel.New(opts.Channel),
+	// A stack's end-to-end gain is the product of its drive amplitudes; a
+	// single surface has none, and the product's 1.0 leaves gamma exact.
+	gain := 1.0
+	for _, p := range d.power {
+		gain *= p
+	}
+	d.Gamma = opts.TargetScale * maxR * gain / maxW
+	d.classes, d.u = w.Rows, w.Cols
+	d.Schedule = make([][]mts.Config, w.Rows)
+	d.Realized = cplx.NewMat(w.Rows, w.Cols)
+	targets := make([]complex128, len(w.Data))
+	for i, v := range w.Data {
+		targets[i] = v * complex(d.Gamma, 0)
 	}
 	// Eqn 8 calibration: estimate the quasi-static environment once (the
 	// paper's "disable the metasurface to estimate H_e" pass) and shift
@@ -276,60 +270,172 @@ func NewDeploymentSpan(w *cplx.Mat, opts Options, src *rng.Source, parent *trace
 	// The solver target for weight W is (γW − H_e)/e^{jφ_mts}: the realized
 	// response rides the MTS path's calibrated phase, so the correction is
 	// applied in the MTS path's own frame.
-	compCorrect := func(target complex128) complex128 { return target }
 	if opts.CompensateEnv {
 		var rms float64
 		for _, v := range w.Data {
 			rms += real(v)*real(v) + imag(v)*imag(v)
 		}
 		rms = math.Sqrt(rms / float64(len(w.Data)))
-		d.envScale = gamma * rms
+		d.envScale = d.Gamma * rms
 		cal := d.ch.NewRealization(src.Split())
 		d.envBase = cal.Base()
 		d.calMTSPhase = cal.MTSPhase()
 		d.compensate = true
 		envPhys := d.envBase * complex(d.envScale, 0)
 		inv := cmplx.Conj(d.calMTSPhase) // unit modulus: conj == inverse
-		compCorrect = func(target complex128) complex128 {
-			return (target - envPhys) * inv
+		for i, t := range targets {
+			targets[i] = (t - envPhys) * inv
 		}
 	}
-	// One table per path set: the solver frame's estimated phases, and the
-	// true phases the physically realized responses are evaluated at.
-	solver := idealSurface.NewSolver(estPP)
-	truth := opts.Surface.NewSolver(truePP)
-	ssp := mts.StartSolveSpan(parent, "schedule", w.Rows*w.Cols)
-	ssp.SetNum("classes", float64(w.Rows))
-	ssp.SetNum("u", float64(w.Cols))
-	ssp.SetNum("gamma", gamma)
-	targets := make([]complex128, len(w.Data))
-	for i, v := range w.Data {
-		targets[i] = compCorrect(v * complex(gamma, 0))
-	}
-	cfgs := solver.SolveAll(targets)
-	var sumSq float64
-	for r := 0; r < w.Rows; r++ {
-		d.Schedule[r] = cfgs[r*w.Cols : (r+1)*w.Cols]
-		for c, cfg := range d.Schedule[r] {
-			// The physically realized response uses the true phases.
-			h := truth.Response(cfg)
-			d.Realized.Set(r, c, h)
-			sumSq += real(h)*real(h) + imag(h)*imag(h)
-		}
-	}
-	ssp.End()
-	d.sigRMS = math.Sqrt(sumSq / float64(len(d.Realized.Data)))
-	d.truePP = truePP
-	d.estPP = estPP
-	if !d.compensate {
-		d.envScale = d.sigRMS
-	}
-	d.refreshDerived(opts.Geometry)
-	// Jitter statistics: a per-atom phase error ε~N(0,σ²) attenuates the
-	// mean response by e^{-σ²/2} and adds a complex scatter of variance
-	// M·(1−e^{-σ²}) (independent atoms).
+	solve(targets, parent)
+	d.refreshFromRealized()
 	d.setJitterMoments()
 	return d, nil
+}
+
+// checkOptions validates a deployment's options in one fixed order and
+// fills the default symbol rate. The cascade checks run only with a Stack.
+func checkOptions(opts *Options) error {
+	if opts.Surface == nil {
+		return fmt.Errorf("ota: Deploy requires a surface")
+	}
+	if opts.TargetScale <= 0 || opts.TargetScale > 1 {
+		return fmt.Errorf("ota: TargetScale %v out of (0, 1]", opts.TargetScale)
+	}
+	if opts.SubSamples < 0 || opts.SubSamples%2 == 1 {
+		return fmt.Errorf("ota: SubSamples %d must be 0 or a positive even count", opts.SubSamples)
+	}
+	if opts.SymbolRateHz <= 0 {
+		opts.SymbolRateHz = 1e6
+	}
+	if len(opts.Stack) > 0 {
+		if opts.CompensateEnv {
+			return fmt.Errorf("ota: CompensateEnv (Eqn 8) calibrates a single MTS path; it is not supported with a cascade Stack")
+		}
+		if opts.HopNoise < 0 {
+			return fmt.Errorf("ota: negative HopNoise %v", opts.HopNoise)
+		}
+		for k, lay := range opts.Stack {
+			if lay.Surface == nil {
+				return fmt.Errorf("ota: cascade layer %d has no surface", k+1)
+			}
+		}
+		if layers := 1 + len(opts.Stack); opts.LayerPower != nil && len(opts.LayerPower) != layers {
+			return fmt.Errorf("ota: LayerPower carries %d amplitudes for %d layers", len(opts.LayerPower), layers)
+		}
+		for k, p := range opts.LayerPower {
+			if p <= 0 || math.IsInf(p, 0) || math.IsNaN(p) {
+				return fmt.Errorf("ota: layer %d drive amplitude %v out of (0, ∞)", k, p)
+			}
+		}
+	}
+	switches := 1
+	if opts.SubSamples > 0 {
+		switches = opts.SubSamples
+	}
+	// Every layer replays the schedule at the full reconfiguration rate; the
+	// control plane must sustain it per surface.
+	if err := opts.Controller.ValidateSchedule(opts.Surface.Atoms(), opts.SymbolRateHz, switches); err != nil {
+		return err
+	}
+	for k, lay := range opts.Stack {
+		if err := opts.Controller.ValidateSchedule(lay.Surface.Atoms(), opts.SymbolRateHz, switches); err != nil {
+			return fmt.Errorf("ota: cascade layer %d: %w", k+1, err)
+		}
+	}
+	if opts.CompensateEnv && opts.SubSamples > 0 {
+		return fmt.Errorf("ota: CompensateEnv (Eqn 8) and multipath cancellation (SubSamples > 0) are alternative schemes; enable one")
+	}
+	return nil
+}
+
+// idealCopy returns the fabrication-free copy of s that solver frames use:
+// deployment never observes per-atom fabrication offsets.
+func idealCopy(s *mts.Surface) (*mts.Surface, error) {
+	return mts.NewSurface(s.Rows, s.Cols, s.Bits, s.FreqGHz, nil)
+}
+
+// newFrame builds the weight-free frame of a deployment from checked
+// options: the channel model, each layer's ideal surface (returned, primary
+// first, for the solver tables), its estimated and true path phases, and
+// for a stack the drive amplitudes, the composition scales and the
+// hop-noise inflation. estRxAngleDeg is the receiver angle the solver
+// assumes — beam-scanned on deploy, read from the state on restore — so a
+// restored deployment derives exactly the frame the deployed one did.
+func newFrame(opts Options, estRxAngleDeg float64) (*Deployment, []*mts.Surface, error) {
+	ideal, err := idealCopy(opts.Surface)
+	if err != nil {
+		return nil, nil, err
+	}
+	estGeom := opts.Geometry
+	estGeom.RxAngleDeg = estRxAngleDeg
+	d := &Deployment{
+		opts:          opts,
+		EstRxAngleDeg: estRxAngleDeg,
+		ch:            channel.New(opts.Channel),
+		estPP:         ideal.PathPhases(estGeom),
+		truePP:        opts.Surface.PathPhases(opts.Geometry),
+	}
+	surfaces := []*mts.Surface{ideal}
+	if len(opts.Stack) == 0 {
+		return d, surfaces, nil
+	}
+	d.power = opts.LayerPower
+	if d.power == nil {
+		d.power = unitPower(1 + len(opts.Stack))
+	}
+	d.layerScale = make([]complex128, len(opts.Stack))
+	d.layerEstPP = make([][]float64, len(opts.Stack))
+	d.layerTruePP = make([][]float64, len(opts.Stack))
+	for k, lay := range opts.Stack {
+		idealLayer, err := idealCopy(lay.Surface)
+		if err != nil {
+			return nil, nil, err
+		}
+		d.layerEstPP[k] = idealLayer.PathPhases(lay.Geometry)
+		d.layerTruePP[k] = lay.Surface.PathPhases(lay.Geometry)
+		maxRk := idealLayer.MaxResponse(d.layerEstPP[k])
+		if maxRk == 0 {
+			return nil, nil, fmt.Errorf("ota: cascade layer %d has a degenerate maximum response", k+1)
+		}
+		// Normalizing each extra layer by its achievable maximum makes the
+		// layer a unit-gain relay at drive 1: the cascade's dynamic range
+		// stays anchored to the primary's array factor, and LayerPower
+		// scales each hop around that unit operating point.
+		d.layerScale[k] = complex(d.power[k+1]/maxRk, 0)
+		surfaces = append(surfaces, idealLayer)
+	}
+	d.noiseBoost = cascadeNoiseBoost(opts.HopNoise, d.power)
+	return d, surfaces, nil
+}
+
+// surfaceTables prepares the single-surface solve: one table per path set,
+// the solver frame's estimated phases and the true phases the physically
+// realized responses are evaluated at.
+func surfaceTables(d *Deployment, ideal []*mts.Surface) solveFunc {
+	solver := ideal[0].NewSolver(d.estPP)
+	truth := d.opts.Surface.NewSolver(d.truePP)
+	return func(targets []complex128, parent *trace.Span) {
+		ssp := d.startSolveSpan(parent, "schedule")
+		cfgs := solver.SolveAll(targets)
+		for r := range d.Schedule {
+			d.Schedule[r] = cfgs[r*d.u : (r+1)*d.u]
+			for c, cfg := range d.Schedule[r] {
+				// The physically realized response uses the true phases.
+				d.Realized.Set(r, c, truth.Response(cfg))
+			}
+		}
+		ssp.End()
+	}
+}
+
+// startSolveSpan opens the span of a deployment's schedule solve.
+func (d *Deployment) startSolveSpan(parent *trace.Span, kind string) *trace.Span {
+	ssp := mts.StartSolveSpan(parent, kind, d.classes*d.u)
+	ssp.SetNum("classes", float64(d.classes))
+	ssp.SetNum("u", float64(d.u))
+	ssp.SetNum("gamma", d.Gamma)
+	return ssp
 }
 
 // refreshDerived recomputes the geometry- and schedule-dependent statistics:

@@ -28,7 +28,7 @@ type SurfaceState struct {
 // calibration constants of the Eqn 8 compensation path. FromState(d.State())
 // yields a deployment whose inference accumulators are bit-identical to d's
 // under equal session seeds — every derived statistic is either carried here
-// or recomputed by the exact arithmetic NewDeployment uses.
+// or re-derived by the one derivation NewDeployment itself runs.
 //
 // The state shares storage with its deployment; treat it as read-only.
 type DeploymentState struct {
@@ -224,13 +224,15 @@ func (st *DeploymentState) validateCascade() error {
 	return nil
 }
 
-// FromState rebuilds a deployment from a snapshot with zero re-solving: the
-// schedule and realized responses are taken verbatim, and every derived
-// statistic (path phases, signal RMS, noise variance, jitter moments) is
-// recomputed with the same arithmetic NewDeployment uses, so accumulators
-// are bit-identical to the snapshotted deployment's. The restored
-// deployment's SyncSampler is nil; re-attach one with WithSyncSampler when
-// the original deployment had one.
+// FromState rebuilds a deployment from a snapshot with zero re-solving. It
+// shares the constructors' derivation — the option check, the frame (path
+// phases, drive amplitudes, composition scales, hop-noise inflation) and
+// the finishing step (signal RMS, noise variance, jitter moments) — and
+// differs only in reading the schedules, realized responses, gamma, the
+// estimated receiver angle and the Eqn 8 calibration from the state, so
+// accumulators are bit-identical to the snapshotted deployment's. The
+// restored deployment's SyncSampler is nil; re-attach one with
+// WithSyncSampler when the original deployment had one.
 func FromState(st *DeploymentState) (*Deployment, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
@@ -252,9 +254,8 @@ func FromState(st *DeploymentState) (*Deployment, error) {
 		SymbolRateHz:    st.SymbolRateHz,
 		ExactJitter:     st.ExactJitter,
 		CompensateEnv:   st.CompensateEnv,
-	}
-	if opts.SymbolRateHz <= 0 {
-		opts.SymbolRateHz = 1e6
+		LayerPower:      st.LayerPower,
+		HopNoise:        st.HopNoise,
 	}
 	for _, lay := range st.Layers {
 		ls, err := mts.SurfaceFromOffsets(lay.Surface.Rows, lay.Surface.Cols, lay.Surface.Bits,
@@ -264,64 +265,21 @@ func FromState(st *DeploymentState) (*Deployment, error) {
 		}
 		opts.Stack = append(opts.Stack, CascadeLayer{Surface: ls, Geometry: lay.Geometry})
 	}
-	opts.LayerPower = st.LayerPower
-	opts.HopNoise = st.HopNoise
-	d := &Deployment{
-		opts:          opts,
-		Schedule:      st.Schedule,
-		Realized:      st.Realized,
-		Gamma:         st.Gamma,
-		EstRxAngleDeg: st.EstRxAngleDeg,
-		classes:       st.Realized.Rows,
-		u:             st.Realized.Cols,
-		ch:            channel.New(opts.Channel),
+	if err := checkOptions(&opts); err != nil {
+		return nil, err
 	}
+	d, _, err := newFrame(opts, st.EstRxAngleDeg)
+	if err != nil {
+		return nil, err
+	}
+	d.Schedule, d.layerSched, d.Realized = st.Schedule, st.LayerSchedules, st.Realized
+	d.Gamma = st.Gamma
+	d.classes, d.u = st.Realized.Rows, st.Realized.Cols
 	if st.CompensateEnv {
 		d.compensate = true
 		d.envBase = st.EnvBase
 		d.calMTSPhase = st.CalMTSPhase
 		d.envScale = st.EnvScale
-	}
-	// The solver-side frame: the ideal (fabrication-free, λ/2-pitch) surface
-	// at the estimated receiver angle, exactly as NewDeployment derived it.
-	ideal, err := mts.NewSurface(surface.Rows, surface.Cols, surface.Bits, surface.FreqGHz, nil)
-	if err != nil {
-		return nil, err
-	}
-	estGeom := opts.Geometry
-	estGeom.RxAngleDeg = st.EstRxAngleDeg
-	d.estPP = ideal.PathPhases(estGeom)
-	d.truePP = surface.PathPhases(opts.Geometry)
-	if len(opts.Stack) > 0 {
-		// Rebuild the cascade frames with the exact arithmetic
-		// newCascadeDeploymentSpan uses: solver-side ideal copies of every
-		// layer, per-layer true phases, and the power-normalized scales —
-		// all pure functions of the persisted state, so the recomputed
-		// values are bit-identical to the snapshotted deployment's.
-		power := st.LayerPower
-		if power == nil {
-			power = unitPower(1 + len(opts.Stack))
-		}
-		d.power = power
-		d.layerSched = st.LayerSchedules
-		d.layerScale = make([]complex128, len(opts.Stack))
-		d.layerEstPP = make([][]float64, len(opts.Stack))
-		d.layerTruePP = make([][]float64, len(opts.Stack))
-		for k, lay := range opts.Stack {
-			s := lay.Surface
-			idealLayer, err := mts.NewSurface(s.Rows, s.Cols, s.Bits, s.FreqGHz, nil)
-			if err != nil {
-				return nil, err
-			}
-			d.layerEstPP[k] = idealLayer.PathPhases(lay.Geometry)
-			d.layerTruePP[k] = s.PathPhases(lay.Geometry)
-			maxRk := idealLayer.MaxResponse(d.layerEstPP[k])
-			if maxRk == 0 {
-				return nil, fmt.Errorf("ota: cascade layer %d has a degenerate maximum response", k+1)
-			}
-			d.layerScale[k] = complex(power[k+1]/maxRk, 0)
-		}
-		d.noiseBoost = cascadeNoiseBoost(st.HopNoise, power)
 	}
 	d.refreshFromRealized()
 	d.setJitterMoments()

@@ -123,39 +123,94 @@ func TestStateRoundtripBitIdentity(t *testing.T) {
 	})
 }
 
-// TestStateRestoreMatchesInternals pins every derived statistic — if any of
-// these drift, the bit-identity test would catch it eventually, but this
+// TestStateRestoreMatchesInternals pins every derived field of a restore,
+// across the option sets that change how a deployment is derived — if any
+// of these drift, the bit-identity test would catch it eventually, but this
 // points at the exact field.
 func TestStateRestoreMatchesInternals(t *testing.T) {
-	src := rng.New(53)
-	d, err := NewDeployment(stateTestWeights(3, 12, 13), NewOptions(src.Split()), src)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		mutate func(*Options)
+	}{
+		{"default", func(*Options) {}},
+		{"subSamples0", func(o *Options) { o.SubSamples = 0 }},
+		{"compensateEnv", func(o *Options) { o.SubSamples = 0; o.CompensateEnv = true }},
+		{"exactJitter", func(o *Options) { o.ExactJitter = true }},
+		{"noBeamScan", func(o *Options) { o.BeamScanStepDeg = 0 }},
+		{"noJitter", func(o *Options) { o.JitterStd = 0 }},
+		{"cascade3", func(o *Options) {
+			*o = cascadeTestOptions(t, 3)
+			o.LayerPower = []float64{1, 1.4, 0.8}
+			o.HopNoise = 0.05
+		}},
 	}
-	r, err := FromState(d.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmp := func(name string, a, b float64) {
-		t.Helper()
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Errorf("%s: %v restored as %v", name, a, b)
-		}
-	}
-	cmp("Gamma", d.Gamma, r.Gamma)
-	cmp("sigRMS", d.sigRMS, r.sigRMS)
-	cmp("gainFactor", d.gainFactor, r.gainFactor)
-	cmp("noise2", d.noise2, r.noise2)
-	cmp("jitterAtt", d.jitterAtt, r.jitterAtt)
-	cmp("jitterVar", d.jitterVar, r.jitterVar)
-	cmp("envScale", d.envScale, r.envScale)
-	cmp("EstRxAngleDeg", d.EstRxAngleDeg, r.EstRxAngleDeg)
-	if len(d.truePP) != len(r.truePP) || len(d.estPP) != len(r.estPP) {
-		t.Fatal("path-phase lengths differ")
-	}
-	for i := range d.truePP {
-		cmp("truePP", d.truePP[i], r.truePP[i])
-		cmp("estPP", d.estPP[i], r.estPP[i])
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := rng.New(53 + uint64(i))
+			opts := NewOptions(src.Split())
+			tc.mutate(&opts)
+			d, err := NewDeployment(stateTestWeights(3, 12, 13), opts, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := FromState(d.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmp := func(name string, a, b float64) {
+				t.Helper()
+				if math.Float64bits(a) != math.Float64bits(b) {
+					t.Errorf("%s: %v restored as %v", name, a, b)
+				}
+			}
+			cmpC := func(name string, a, b complex128) {
+				t.Helper()
+				cmp(name+" (re)", real(a), real(b))
+				cmp(name+" (im)", imag(a), imag(b))
+			}
+			cmpS := func(name string, a, b []float64) {
+				t.Helper()
+				if len(a) != len(b) {
+					t.Fatalf("%s: %d values restored as %d", name, len(a), len(b))
+				}
+				for k := range a {
+					cmp(name, a[k], b[k])
+				}
+			}
+			cmp("Gamma", d.Gamma, r.Gamma)
+			cmp("EstRxAngleDeg", d.EstRxAngleDeg, r.EstRxAngleDeg)
+			cmp("sigRMS", d.sigRMS, r.sigRMS)
+			cmp("gainFactor", d.gainFactor, r.gainFactor)
+			cmp("noise2", d.noise2, r.noise2)
+			cmp("noiseSD", d.noiseSD, r.noiseSD)
+			cmp("jitterAtt", d.jitterAtt, r.jitterAtt)
+			cmp("jitterVar", d.jitterVar, r.jitterVar)
+			cmp("jitterSD", d.jitterSD, r.jitterSD)
+			cmp("envScale", d.envScale, r.envScale)
+			cmpC("envBase", d.envBase, r.envBase)
+			cmpC("calMTSPhase", d.calMTSPhase, r.calMTSPhase)
+			if d.compensate != r.compensate {
+				t.Errorf("compensate: %v restored as %v", d.compensate, r.compensate)
+			}
+			cmp("noiseBoost", d.noiseBoost, r.noiseBoost)
+			cmpS("power", d.power, r.power)
+			if len(d.layerScale) != len(r.layerScale) {
+				t.Fatalf("layerScale: %d layers restored as %d", len(d.layerScale), len(r.layerScale))
+			}
+			for k := range d.layerScale {
+				cmpC("layerScale", d.layerScale[k], r.layerScale[k])
+			}
+			cmpS("estPP", d.estPP, r.estPP)
+			cmpS("truePP", d.truePP, r.truePP)
+			if len(d.layerEstPP) != len(r.layerEstPP) || len(d.layerTruePP) != len(r.layerTruePP) {
+				t.Fatal("layer path-phase counts differ")
+			}
+			for k := range d.layerEstPP {
+				cmpS("layerEstPP", d.layerEstPP[k], r.layerEstPP[k])
+				cmpS("layerTruePP", d.layerTruePP[k], r.layerTruePP[k])
+			}
+			assertBitIdentical(t, d, r, 107+uint64(i))
+		})
 	}
 }
 
