@@ -74,17 +74,21 @@ obsgate:
 # loaded CI machines, which is exactly the noise the floor exists to reject
 # when a human runs -compare old vs new). The zero-alloc steady-state tests
 # are the alloc-regression half of the gate: any allocation creeping into
-# the batched serving hot path, or into the per-sample LNN training step
-# every replica cold start runs, fails them deterministically, without
-# depending on wall-clock benchmark numbers. The cold start's deployment
-# hash is pinned at GOMAXPROCS 1 (no fan-out), 2 and 4 (oversubscribed):
-# drawing training epochs ahead and fanning out the beam scan and the
-# schedule solves must not change a served bit.
+# the batched serving hot path, or into the LNN training step every replica
+# cold start runs (plain, and with the served CDFA injector shifting each
+# input into the trainer's batch buffer), fails them deterministically,
+# without depending on wall-clock benchmark numbers. The batch gradient
+# kernel is checked bit for bit against its Go loop, and for zero
+# allocations, by name. The cold start's deployment hash is pinned at
+# GOMAXPROCS 1 (no fan-out), 2 and 4 (oversubscribed): the batched training
+# step and fanning out the beam scan and the schedule solves must not
+# change a served bit.
 benchgate:
 	$(GO) test -run 'TestCompare' ./cmd/metaai-bench
 	$(GO) test -count=1 -run 'TestAccumulateSteadyStateZeroAlloc' ./internal/ota
 	$(GO) test -count=1 -run 'TestWorkerBatchSteadyStateZeroAlloc' ./cmd/metaai-serve
 	$(GO) test -count=1 -run 'TestTrainLNNStepZeroAlloc' ./internal/nn
+	$(GO) test -count=1 -run 'TestAddScaledConjBatch' ./internal/cplx
 	$(GO) test -count=1 -cpu 1,2,4 -run 'TestColdStartDeploymentHash' ./internal/core
 	$(GO) run ./cmd/metaai-bench -servebench 100 -obs-out .benchgate.json
 	$(GO) run ./cmd/metaai-bench -compare .benchgate.json .benchgate.json

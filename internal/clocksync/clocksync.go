@@ -15,6 +15,7 @@
 package clocksync
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/nn"
@@ -148,12 +149,12 @@ func FixedSampler(offsetSymbols float64) func(src *rng.Source) float64 {
 func Injector(d CoarseDetector, symbolRateHz float64) nn.InputAugmenter {
 	const cleanProb = 0.35
 	period := SymbolPeriodUs(symbolRateHz)
-	return func(x []complex128, src *rng.Source) []complex128 {
+	return func(dst, x []complex128, src *rng.Source) []complex128 {
 		if src.Bernoulli(cleanProb) {
 			return x
 		}
 		offset := d.SampleUs(src) / period
-		return ApplyOffset(x, offset)
+		return ApplyOffsetInto(dst, x, offset)
 	}
 }
 
@@ -162,9 +163,9 @@ func Injector(d CoarseDetector, symbolRateHz float64) nn.InputAugmenter {
 // (Fig 12) beats naive choices.
 func UniformInjector(maxUs, symbolRateHz float64) nn.InputAugmenter {
 	period := SymbolPeriodUs(symbolRateHz)
-	return func(x []complex128, src *rng.Source) []complex128 {
+	return func(dst, x []complex128, src *rng.Source) []complex128 {
 		offset := src.Float64() * maxUs / period
-		return ApplyOffset(x, offset)
+		return ApplyOffsetInto(dst, x, offset)
 	}
 }
 
@@ -173,25 +174,38 @@ func UniformInjector(maxUs, symbolRateHz float64) nn.InputAugmenter {
 // f its fractional part. It mirrors exactly how the ota engine mixes
 // adjacent schedule entries under a clock offset.
 func ApplyOffset(x []complex128, offset float64) []complex128 {
+	return ApplyOffsetInto(nil, x, offset)
+}
+
+// ApplyOffsetInto is ApplyOffset writing its result into dst, which must
+// have len(x) and not overlap x, and returning dst; it allocates the result
+// only when dst is nil. An integer offset rotates x into dst.
+func ApplyOffsetInto(dst, x []complex128, offset float64) []complex128 {
 	n := len(x)
 	if n == 0 {
-		return nil
+		return dst
+	}
+	if dst == nil {
+		dst = make([]complex128, n)
+	} else if len(dst) != n {
+		panic(fmt.Sprintf("clocksync: ApplyOffsetInto of %d symbols into %d", n, len(dst)))
 	}
 	k := int(math.Floor(offset))
 	f := offset - float64(k)
+	j := ((k % n) + n) % n // dst[i] mixes x[(i+k) mod n] and its successor
 	if f < 1e-9 {
-		return nn.CyclicShift(x, -k)
+		copy(dst, x[j:])
+		copy(dst[n-j:], x[:j])
+		return dst
 	}
-	out := make([]complex128, n)
 	cf := complex(f, 0)
-	j := ((k % n) + n) % n // out[i] mixes x[(i+k) mod n] and its successor
-	for i := range out {
+	for i := range dst {
 		next := j + 1
 		if next == n {
 			next = 0
 		}
-		out[i] = x[j]*(1-cf) + x[next]*cf
+		dst[i] = x[j]*(1-cf) + x[next]*cf
 		j = next
 	}
-	return out
+	return dst
 }

@@ -339,8 +339,9 @@ func chainAug(a, b nn.InputAugmenter) nn.InputAugmenter {
 	if b == nil {
 		return a
 	}
-	return func(x []complex128, src *rng.Source) []complex128 {
-		return b(a(x, src), src)
+	// a allocates what it perturbs, so b never writes the dst it reads.
+	return func(dst, x []complex128, src *rng.Source) []complex128 {
+		return b(dst, a(nil, x, src), src)
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 
 // TestColdStartDeploymentHash pins the bits a replica's cold start serves:
 // the sealed deployment of each default pipeline hashes as it did when
-// training drew inline and the schedule solved target by target, whatever
-// GOMAXPROCS fans the draws, the beam scan and the solves across. Go may
-// fuse multiply-adds off amd64, so the pins are amd64's.
+// training stepped sample by sample and the schedule solved target by
+// target, whatever GOMAXPROCS fans the beam scan and the solves across. Go
+// may fuse multiply-adds off amd64, so the pins are amd64's.
 func TestColdStartDeploymentHash(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the pinned hashes are amd64's; other architectures may fuse multiply-adds")

@@ -184,22 +184,44 @@ func mulVecGo(dst, w, x []complex128) {
 	}
 }
 
-// AddScaledConj adds a·conj(x[i]) to dst[i] for every i — the gradient row
-// update ∂L/∂W̄[r,·] += ∂L/∂z̄_r·conj(x) of LNN training. It panics if the
-// lengths differ. On CPUs with AVX2 it runs two elements per instruction,
-// bit for bit as the Go loop.
+// AddScaledConj adds a·conj(x[i]) to dst[i] for every i: AddScaledConjBatch
+// for one sample. It panics if the lengths differ.
 func AddScaledConj(dst []complex128, a complex128, x []complex128) {
 	if len(x) != len(dst) {
 		panic(fmt.Sprintf("cplx: AddScaledConj length mismatch %d != %d", len(dst), len(x)))
 	}
-	addScaledConj(dst, a, x)
+	as := [1]complex128{a}
+	addScaledConjBatch(dst, as[:], x)
 }
 
-// addScaledConjGo is AddScaledConj's Go loop: the only kernel off AVX2, the
-// AVX2 kernel's odd-length tail, and its test reference.
+// AddScaledConjBatch adds Σ_k a[k]·conj(x[k·n+i]) to dst[i] for every i,
+// where n = len(dst) and x holds len(a) rows of n: the gradient row update
+// ∂L/∂W̄[r,·] += Σ_k ∂L/∂z̄_{k,r}·conj(x_k) of one LNN mini-batch. Each
+// element adds its products in sample order, so the result is bit for bit
+// that of len(a) successive AddScaledConj calls. It panics if len(x) is not
+// len(a)·len(dst). On CPUs with AVX2 it keeps eight elements' sums in
+// registers across the samples.
+func AddScaledConjBatch(dst, a, x []complex128) {
+	if len(x) != len(a)*len(dst) {
+		panic(fmt.Sprintf("cplx: AddScaledConjBatch length mismatch: %d samples of %d, got %d", len(a), len(dst), len(x)))
+	}
+	addScaledConjBatch(dst, a, x)
+}
+
+// addScaledConjGo adds one sample's products: addScaledConjBatchGo's step
+// and the kernel tests' reference.
 func addScaledConjGo(dst []complex128, a complex128, x []complex128) {
 	for i := range dst {
 		dst[i] += a * cmplx.Conj(x[i])
+	}
+}
+
+// addScaledConjBatchGo is AddScaledConjBatch's Go loop, one sample after
+// another: the only kernel off AVX2.
+func addScaledConjBatchGo(dst, a, x []complex128) {
+	n := len(dst)
+	for k, ak := range a {
+		addScaledConjGo(dst, ak, x[k*n:(k+1)*n])
 	}
 }
 
@@ -237,11 +259,21 @@ func Expi(theta float64) complex128 {
 	return complex(c, s)
 }
 
-// WrapPhase reduces θ to the interval [0, 2π).
+// WrapPhase reduces θ to the interval [0, 2π). θ in [0, 2π) comes back
+// as it is, and θ in [2π, 4π) as θ − 2π, which Sterbenz's lemma makes
+// exact: both are math.Mod's exact remainder, so every value wraps to the
+// bits the Mod path below gives it.
 func WrapPhase(theta float64) float64 {
-	t := math.Mod(theta, 2*math.Pi)
+	const twoPi = 2 * math.Pi
+	if theta >= 0 && theta < twoPi {
+		return theta
+	}
+	if theta >= twoPi && theta < 2*twoPi {
+		return theta - twoPi
+	}
+	t := math.Mod(theta, twoPi)
 	if t < 0 {
-		t += 2 * math.Pi
+		t += twoPi
 	}
 	return t
 }

@@ -161,6 +161,43 @@ func TestWrapPhaseProperty(t *testing.T) {
 	}
 }
 
+// wrapPhaseMod is WrapPhase without its fast paths: the reference they
+// must reproduce bit for bit.
+func wrapPhaseMod(theta float64) float64 {
+	t := math.Mod(theta, 2*math.Pi)
+	if t < 0 {
+		t += 2 * math.Pi
+	}
+	return t
+}
+
+// TestWrapPhaseMatchesMod pins WrapPhase's fast paths for [0, 2π) and
+// [2π, 4π) to the Mod formula at their edges and their neighbours, at
+// values the fast paths leave to it, and over uniform draws in [−2π, 10π).
+func TestWrapPhaseMatchesMod(t *testing.T) {
+	same := func(th float64) bool {
+		got, want := WrapPhase(th), wrapPhaseMod(th)
+		return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+	}
+	var cases []float64
+	for _, edge := range []float64{0, math.Copysign(0, -1), 2 * math.Pi, 4 * math.Pi, -2 * math.Pi, 6 * math.Pi} {
+		cases = append(cases, edge, math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
+	}
+	cases = append(cases, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, math.Pi, -math.Pi)
+	for _, th := range cases {
+		if !same(th) {
+			t.Fatalf("WrapPhase(%v) = %v, Mod formula %v", th, WrapPhase(th), wrapPhaseMod(th))
+		}
+	}
+	src := rng.New(15)
+	for i := 0; i < 2_000_000; i++ {
+		th := -2*math.Pi + 12*math.Pi*src.Float64()
+		if !same(th) {
+			t.Fatalf("WrapPhase(%v) = %v, Mod formula %v", th, WrapPhase(th), wrapPhaseMod(th))
+		}
+	}
+}
+
 func TestPhaseDistance(t *testing.T) {
 	cases := []struct{ a, b, want float64 }{
 		{0, 0, 0},

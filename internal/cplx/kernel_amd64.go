@@ -31,11 +31,11 @@ func xgetbv() (eax uint32)
 //go:noescape
 func mulRowPairsAVX2(dst, w, x []complex128)
 
-// addScaledConjAVX2 adds a·conj(x[i]) to dst[i], passed as re = (ar, −ar)
-// and im = (−ai, ai). len(dst) must be even and len(x) == len(dst).
+// addScaledConjBatchAVX2 adds Σ_k a[k]·conj(x[k·len(dst)+i]) to dst[i],
+// summing k in order. len(x) must be len(a)·len(dst).
 //
 //go:noescape
-func addScaledConjAVX2(dst, x []complex128, re, im complex128)
+func addScaledConjBatchAVX2(dst, a, x []complex128)
 
 func mulVec(dst, w, x []complex128) {
 	if useAVX2 {
@@ -46,11 +46,10 @@ func mulVec(dst, w, x []complex128) {
 	mulVecGo(dst, w, x)
 }
 
-func addScaledConj(dst []complex128, a complex128, x []complex128) {
+func addScaledConjBatch(dst, a, x []complex128) {
 	if useAVX2 {
-		n := len(dst) &^ 1
-		addScaledConjAVX2(dst[:n], x[:n], complex(real(a), -real(a)), complex(-imag(a), imag(a)))
-		dst, x = dst[n:], x[n:]
+		addScaledConjBatchAVX2(dst, a, x)
+		return
 	}
-	addScaledConjGo(dst, a, x)
+	addScaledConjBatchGo(dst, a, x)
 }

@@ -76,34 +76,139 @@ done:
 	VZEROUPPER
 	RET
 
-// func addScaledConjAVX2(dst, x []complex128, re, im complex128)
+// func addScaledConjBatchAVX2(dst, a, x []complex128)
 //
-// re = (ar, −ar) and im = (−ai, ai) are a's parts laid out per lane, so two
+// dst[c] += Σ_k a[k]·conj(x[k·n+c]) with n = len(dst), k in order: each
+// block of columns holds its running sums in registers across the batch.
+// Per sample, Y6 = (ar, −ar) and Y7 = (−ai, ai) per lane, so two
 // multiplies and one VADDSUBPD give a·conj(x) = (ar·xr − ai·(−xi)) +
-// (ar·(−xi) + ai·xr)i for two elements at a time.
-TEXT ·addScaledConjAVX2(SB), NOSPLIT, $0-80
+// (ar·(−xi) + ai·xr)i for two columns at a time, as Go computes it.
+// Blocks are 8 columns (Y0–Y3), then 2 (Y0), then 1 (X0).
+TEXT ·addScaledConjBatchAVX2(SB), NOSPLIT, $0-72
 	MOVQ           dst_base+0(FP), DI
-	MOVQ           dst_len+8(FP), CX
-	SHRQ           $1, CX              // element pairs
-	MOVQ           x_base+24(FP), SI
-	VBROADCASTF128 re+48(FP), Y6       // [ar, −ar, ar, −ar]
-	VBROADCASTF128 im+64(FP), Y7       // [−ai, ai, −ai, ai]
-	TESTQ          CX, CX
+	MOVQ           dst_len+8(FP), BX   // columns left
+	MOVQ           a_base+24(FP), R11
+	MOVQ           a_len+32(FP), R12   // samples
+	MOVQ           x_base+48(FP), SI   // sample 0 of the block's first column
+	MOVQ           BX, R8
+	SHLQ           $4, R8              // x's row stride in bytes
+	TESTQ          R12, R12
 	JZ             done
+	VBROADCASTF128 negOdd<>(SB), Y8    // [0, −0, 0, −0]
+	VPERMILPD      $5, Y8, Y9          // [−0, 0, −0, 0]
 
-loop:
-	VMOVUPD   (SI), Y1                 // [x0r, x0i, x1r, x1i]
-	VPERMILPD $5, Y1, Y2               // [x0i, x0r, x1i, x1r]
-	VMULPD    Y6, Y1, Y1               // [x0r·ar, x0i·−ar, …]
-	VMULPD    Y7, Y2, Y2               // [x0i·−ai, x0r·ai, …]
-	VADDSUBPD Y2, Y1, Y1               // [x0r·ar − x0i·−ai, x0i·−ar + x0r·ai, …]
-	VADDPD    (DI), Y1, Y1
-	VMOVUPD   Y1, (DI)
-	ADDQ      $32, SI
-	ADDQ      $32, DI
-	DECQ      CX
-	JNZ       loop
+block8:
+	CMPQ    BX, $8
+	JB      block2
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    R11, R10
+	MOVQ    SI, R9
+	MOVQ    R12, CX
+
+sample8:
+	VBROADCASTSD (R10), Y6
+	VXORPD       Y8, Y6, Y6            // [ar, −ar, ar, −ar]
+	VBROADCASTSD 8(R10), Y7
+	VXORPD       Y9, Y7, Y7            // [−ai, ai, −ai, ai]
+	VMOVUPD      (R9), Y4              // [x0r, x0i, x1r, x1i]
+	VPERMILPD    $5, Y4, Y5            // [x0i, x0r, x1i, x1r]
+	VMULPD       Y6, Y4, Y4
+	VMULPD       Y7, Y5, Y5
+	VADDSUBPD    Y5, Y4, Y4
+	VADDPD       Y4, Y0, Y0
+	VMOVUPD      32(R9), Y10
+	VPERMILPD    $5, Y10, Y11
+	VMULPD       Y6, Y10, Y10
+	VMULPD       Y7, Y11, Y11
+	VADDSUBPD    Y11, Y10, Y10
+	VADDPD       Y10, Y1, Y1
+	VMOVUPD      64(R9), Y12
+	VPERMILPD    $5, Y12, Y13
+	VMULPD       Y6, Y12, Y12
+	VMULPD       Y7, Y13, Y13
+	VADDSUBPD    Y13, Y12, Y12
+	VADDPD       Y12, Y2, Y2
+	VMOVUPD      96(R9), Y14
+	VPERMILPD    $5, Y14, Y15
+	VMULPD       Y6, Y14, Y14
+	VMULPD       Y7, Y15, Y15
+	VADDSUBPD    Y15, Y14, Y14
+	VADDPD       Y14, Y3, Y3
+	ADDQ         $16, R10
+	ADDQ         R8, R9
+	DECQ         CX
+	JNZ          sample8
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $128, SI
+	SUBQ         $8, BX
+	JMP          block8
+
+block2:
+	CMPQ    BX, $2
+	JB      block1
+	VMOVUPD (DI), Y0
+	MOVQ    R11, R10
+	MOVQ    SI, R9
+	MOVQ    R12, CX
+
+sample2:
+	VBROADCASTSD (R10), Y6
+	VXORPD       Y8, Y6, Y6
+	VBROADCASTSD 8(R10), Y7
+	VXORPD       Y9, Y7, Y7
+	VMOVUPD      (R9), Y4
+	VPERMILPD    $5, Y4, Y5
+	VMULPD       Y6, Y4, Y4
+	VMULPD       Y7, Y5, Y5
+	VADDSUBPD    Y5, Y4, Y4
+	VADDPD       Y4, Y0, Y0
+	ADDQ         $16, R10
+	ADDQ         R8, R9
+	DECQ         CX
+	JNZ          sample2
+	VMOVUPD      Y0, (DI)
+	ADDQ         $32, DI
+	ADDQ         $32, SI
+	SUBQ         $2, BX
+	JMP          block2
+
+block1:
+	TESTQ   BX, BX
+	JZ      done
+	VMOVUPD (DI), X0
+	MOVQ    R11, R10
+	MOVQ    SI, R9
+	MOVQ    R12, CX
+
+sample1:
+	VBROADCASTSD (R10), Y6
+	VXORPD       Y8, Y6, Y6
+	VBROADCASTSD 8(R10), Y7
+	VXORPD       Y9, Y7, Y7
+	VMOVUPD      (R9), X4
+	VPERMILPD    $1, X4, X5
+	VMULPD       X6, X4, X4
+	VMULPD       X7, X5, X5
+	VADDSUBPD    X5, X4, X4
+	VADDPD       X4, X0, X0
+	ADDQ         $16, R10
+	ADDQ         R8, R9
+	DECQ         CX
+	JNZ          sample1
+	VMOVUPD      X0, (DI)
 
 done:
 	VZEROUPPER
 	RET
+
+// negOdd flips the sign of a pair's second part.
+DATA  negOdd<>+0(SB)/8, $0
+DATA  negOdd<>+8(SB)/8, $0x8000000000000000
+GLOBL negOdd<>(SB), RODATA|NOPTR, $16

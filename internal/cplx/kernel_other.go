@@ -7,4 +7,4 @@ const useAVX2 = false
 
 func mulVec(dst, w, x []complex128) { mulVecGo(dst, w, x) }
 
-func addScaledConj(dst []complex128, a complex128, x []complex128) { addScaledConjGo(dst, a, x) }
+func addScaledConjBatch(dst, a, x []complex128) { addScaledConjBatchGo(dst, a, x) }

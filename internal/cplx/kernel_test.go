@@ -140,6 +140,79 @@ func TestAddScaledConjMatchesGoLoop(t *testing.T) {
 	seen.check(t)
 }
 
+// TestAddScaledConjBatchMatchesGoLoop checks the batch kernel against K
+// successive Go loops, bit for bit, over 1 to 11 rows as one mini-batch's
+// gradient is: in the normal regime every batch size K from 0 to 65 (the
+// trainer's 64 and one past it) against every row length from 1 to 130
+// (U = 86 under 64-QAM has a six-column tail). Edge-case arithmetic,
+// subnormals above all, runs far slower (the whole grid takes about 35 s
+// in the other four regimes), so they take K 0–9 and 63–65 against lengths
+// 1–17, 86 and 127–130: still every tail class of the 8-column blocks.
+func TestAddScaledConjBatchMatchesGoLoop(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: AddScaledConjBatch runs the Go loop")
+	}
+	const maxK, maxN, maxRows = 65, 130, 11
+	all := func(k, n int) bool { return true }
+	narrow := func(k, n int) bool { return (k <= 9 || k >= maxK-2) && (n <= 17 || n == 86 || n >= maxN-3) }
+	src := rng.New(12)
+	var seen outcomes
+	x := NewVec(maxK * maxN)
+	a := NewVec(maxRows * maxK)
+	got, want := NewVec(maxRows*maxN), NewVec(maxRows*maxN)
+	for _, g := range regimes {
+		runs := narrow
+		if g.name == "normal" {
+			runs = all
+		}
+		g.fill(x, src)
+		for k := 0; k <= maxK; k++ {
+			for n := 1; n <= maxN; n++ {
+				if !runs(k, n) {
+					continue
+				}
+				rows := 1 + (k+n)%maxRows
+				g.fill(a[:rows*k], src)
+				g.fill(got[:rows*n], src)
+				copy(want, got[:rows*n])
+				xs := x[:k*n]
+				for r := 0; r < rows; r++ {
+					ar := a[r*k : (r+1)*k]
+					AddScaledConjBatch(got[r*n:(r+1)*n], ar, xs)
+					for s, as := range ar {
+						addScaledConjGo(want[r*n:(r+1)*n], as, xs[s*n:(s+1)*n])
+					}
+				}
+				for i := range want[:rows*n] {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("%s, K %d, n %d: dst[%d] = %v, Go loops %v", g.name, k, n, i, got[i], want[i])
+					}
+					seen.add(want[i])
+				}
+			}
+		}
+	}
+	seen.check(t)
+}
+
+func TestAddScaledConjBatchLengthPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on AddScaledConjBatch length mismatch")
+		}
+	}()
+	AddScaledConjBatch(NewVec(4), NewVec(2), NewVec(7))
+}
+
+func TestAddScaledConjBatchZeroAlloc(t *testing.T) {
+	x, a, dst := NewVec(64*86), NewVec(64), NewVec(86)
+	regimes[0].fill(x, rng.New(13))
+	regimes[0].fill(a, rng.New(14))
+	if n := testing.AllocsPerRun(100, func() { AddScaledConjBatch(dst, a, x) }); n != 0 {
+		t.Errorf("AddScaledConjBatch allocates %v times per call", n)
+	}
+}
+
 func TestKernelsZeroAlloc(t *testing.T) {
 	m, x, dst := NewMat(10, 64), NewVec(64), NewVec(10)
 	regimes[0].fill(m.Data, rng.New(9))
@@ -201,6 +274,29 @@ func BenchmarkAddScaledConj(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			addScaledConjGo(dst, a, x)
+		}
+	})
+}
+
+// BenchmarkAddScaledConjBatch is one gradient row of a default MNIST
+// mini-batch: 64 samples of 64 symbols.
+func BenchmarkAddScaledConjBatch(b *testing.B) {
+	x, a, dst := NewVec(64*64), NewVec(64), NewVec(64)
+	regimes[0].fill(x, rng.New(4))
+	regimes[0].fill(a, rng.New(5))
+	b.Run("avx2", func(b *testing.B) {
+		if !useAVX2 {
+			b.Skip("no AVX2")
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			AddScaledConjBatch(dst, a, x)
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			addScaledConjBatchGo(dst, a, x)
 		}
 	})
 }

@@ -173,9 +173,19 @@ func ModulateBits(b []uint8, s Scheme) []complex128 {
 	return out
 }
 
-// ModulateBytes is ModulateBits over the unpacked bits of data.
+// ModulateBytes is ModulateBits over the unpacked bits of data. Under an
+// 8-bit scheme each byte is one symbol's MSB-first label, so it indexes the
+// constellation directly.
 func ModulateBytes(data []byte, s Scheme) []complex128 {
-	return ModulateBits(BytesToBits(data), s)
+	if s.BitsPerSymbol() != 8 {
+		return ModulateBits(BytesToBits(data), s)
+	}
+	con := s.Constellation()
+	out := make([]complex128, len(data))
+	for i, b := range data {
+		out[i] = con[b]
+	}
+	return out
 }
 
 // DemodulateBits maps received symbols back to bits by minimum-distance

@@ -112,6 +112,38 @@ func TestModulateDemodulateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestModulateBytesMatchesBitPath pins ModulateBytes to ModulateBits over
+// the unpacked bits, bit for bit, for every scheme: each byte value alone,
+// then random strings of 0 to 9 bytes.
+func TestModulateBytesMatchesBitPath(t *testing.T) {
+	src := rng.New(3)
+	check := func(s Scheme, data []byte) {
+		t.Helper()
+		got, want := ModulateBytes(data, s), ModulateBits(BytesToBits(data), s)
+		if len(got) != len(want) {
+			t.Fatalf("%v % x: %d symbols, bit path %d", s, data, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+				math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+				t.Fatalf("%v % x: symbol %d = %v, bit path %v", s, data, i, got[i], want[i])
+			}
+		}
+	}
+	for _, s := range Schemes() {
+		for b := 0; b < 256; b++ {
+			check(s, []byte{byte(b)})
+		}
+		for trial := 0; trial < 200; trial++ {
+			data := make([]byte, src.IntN(10))
+			for i := range data {
+				data[i] = byte(src.IntN(256))
+			}
+			check(s, data)
+		}
+	}
+}
+
 func TestRoundTripUnderMildNoise(t *testing.T) {
 	src := rng.New(2)
 	data := make([]byte, 64)

@@ -106,7 +106,7 @@ func TrainDiscrete(train *EncodedSet, levels int, cfg TrainConfig) *DiscreteNN {
 			for _, idx := range order[start:end] {
 				x := train.X[idx]
 				if cfg.InputAug != nil {
-					x = cfg.InputAug(x, src)
+					x = cfg.InputAug(nil, x, src)
 				}
 				// Forward.
 				for r := 0; r < R; r++ {

@@ -106,7 +106,7 @@ func TrainMLP(train *EncodedSet, hidden []int, cfg TrainConfig) *ComplexMLP {
 			for _, idx := range order[start:end] {
 				x := train.X[idx]
 				if cfg.InputAug != nil {
-					x = cfg.InputAug(x, src)
+					x = cfg.InputAug(nil, x, src)
 				}
 				tp := autodiff.NewTape()
 				mag := m.forward(tp, x)

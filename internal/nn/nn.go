@@ -83,9 +83,11 @@ func (m *ComplexLNN) Predict(x []complex128) int {
 func (m *ComplexLNN) Weights() *cplx.Mat { return m.W.Mat() }
 
 // InputAugmenter perturbs an encoded input during training (e.g. CDFA's
-// cyclic shift or Eqn 14's input-side hardware noise). It must not modify x
-// in place.
-type InputAugmenter func(x []complex128, src *rng.Source) []complex128
+// cyclic shift or Eqn 14's input-side hardware noise). dst is nil or has
+// len(x) and does not overlap x. The augmenter returns x itself to leave the
+// input as it is, or writes the perturbed input into dst and returns dst,
+// allocating its result only when dst is nil. It must not modify x.
+type InputAugmenter func(dst, x []complex128, src *rng.Source) []complex128
 
 // OutputNoiser returns additive complex noise for the n pre-magnitude
 // outputs (Eqn 13's N_e term). It may return nil for no noise.
@@ -99,7 +101,8 @@ type TrainConfig struct {
 	Batch    int     // default 64
 	Epochs   int     // default 60
 	Seed     uint64
-	// InputAug, if set, perturbs each training input (fresh copy per use).
+	// InputAug, if set, perturbs each training input; TrainLNN hands it the
+	// sample's slot of its batch buffer as dst.
 	InputAug InputAugmenter
 	// OutputNoise, if set, injects pre-magnitude output noise.
 	OutputNoise OutputNoiser
@@ -149,15 +152,14 @@ func EncodeSet(samples []dataset.Sample, classes int, enc Encoder) *EncodedSet {
 }
 
 // TrainLNN trains a ComplexLNN on the encoded set with SGD+momentum and the
-// configured augmentations, returning the trained model. Each sample runs
-// one fused forward/backward step (lnnStep) over buffers reused for the
-// whole run, so with no augmenters training allocates nothing per sample.
-//
-// After InitWeights no draw from the run's source reads the weights, so a
-// second goroutine (drawEpochs) makes each epoch's draws, in the serial
-// loop's order, while this one steps through the epoch before: the
-// trained bits are those of drawing inline. TrainLNN returns, or panics,
-// only after that goroutine has left drawEpochs.
+// configured augmentations, returning the trained model. The weights change
+// only after a mini-batch, so each batch first runs its samples forward
+// against them, one after another, and then adds the whole batch's
+// gradient (lnnBatch). Its buffers serve the whole run: with no augmenters,
+// or with augmenters that write into the slot they are handed, training
+// allocates nothing per sample. Every draw is made inline, in the order the
+// tape oracle makes it: the epoch's shuffle, then each sample's input
+// augmentation and its output noise.
 func TrainLNN(train *EncodedSet, cfg TrainConfig) *ComplexLNN {
 	cfg = cfg.withDefaults()
 	if len(train.X) == 0 {
@@ -167,153 +169,118 @@ func TrainLNN(train *EncodedSet, cfg TrainConfig) *ComplexLNN {
 	m := NewComplexLNN(train.Classes, train.U)
 	m.InitWeights(src)
 	vel := make([]complex128, len(m.W.Val))
-
-	// Two epoch buffers circulate, one drawn while the other is stepped
-	// through, and each channel can hold both.
-	free, full := make(chan *epochDraws, 2), make(chan *epochDraws, 2)
-	free <- newEpochDraws(len(train.X))
-	free <- newEpochDraws(len(train.X))
-	stop := make(chan struct{})
-	var drawPanic any
-	go func() {
-		defer close(full)
-		defer func() { drawPanic = recover() }()
-		drawEpochs(train, cfg, src, free, full, stop)
-	}()
-	defer func() {
-		close(stop)
-		for range full { // until drawEpochs has returned
-		}
-	}()
-
-	step := newLNNStep(train.Classes)
+	order := make([]int, len(train.X))
+	for i := range order {
+		order[i] = i
+	}
+	b := newLNNBatch(m.W, min(cfg.Batch, len(order)))
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		d, ok := <-full
-		if !ok {
-			panic(drawPanic) // an augmenter panicked
-		}
-		for start := 0; start < len(d.order); start += cfg.Batch {
-			end := min(start+cfg.Batch, len(d.order))
-			m.W.ZeroGrad()
-			for k := start; k < end; k++ {
-				step.accumulate(m.W, d.x[k], d.noise[k], train.Labels[d.order[k]])
+		src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for start := 0; start < len(order); start += cfg.Batch {
+			batch := order[start:min(start+cfg.Batch, len(order))]
+			for k, idx := range batch {
+				b.forward(k, train.X[idx], train.Labels[idx], cfg, src)
 			}
-			scale := complex(cfg.LR/float64(end-start), 0)
+			b.backward(len(batch))
+			scale := complex(cfg.LR/float64(len(batch)), 0)
 			mom := complex(cfg.Momentum, 0)
 			for i := range m.W.Val {
 				vel[i] = mom*vel[i] - scale*m.W.Grad[i]
 				m.W.Val[i] += vel[i]
 			}
 		}
-		free <- d
 	}
 	return m
 }
 
-// epochDraws is one epoch's random draws: the shuffled sample order and,
-// per position in it, the (augmented) input and the output noise.
-type epochDraws struct {
-	order []int
-	x     [][]complex128
-	noise [][]complex128
-}
-
-func newEpochDraws(n int) *epochDraws {
-	return &epochDraws{order: make([]int, n), x: make([][]complex128, n), noise: make([][]complex128, n)}
-}
-
-// drawEpochs makes every epoch's draws from src in the order the serial
-// training loop made them — the epoch's shuffle, then per sample its input
-// augmentation and its output noise — filling a buffer taken from free and
-// handing it on through full. It returns after the last epoch, or when it
-// finds stop closed between epochs.
-func drawEpochs(train *EncodedSet, cfg TrainConfig, src *rng.Source, free <-chan *epochDraws, full chan<- *epochDraws, stop <-chan struct{}) {
-	order := make([]int, len(train.X))
-	for i := range order {
-		order[i] = i
-	}
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		var d *epochDraws
-		select {
-		case d = <-free:
-		case <-stop:
-			return
-		}
-		src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		copy(d.order, order)
-		for k, idx := range order {
-			d.x[k] = train.X[idx]
-			if cfg.InputAug != nil {
-				d.x[k] = cfg.InputAug(d.x[k], src)
-			}
-			d.noise[k] = nil
-			if cfg.OutputNoise != nil {
-				d.noise[k] = cfg.OutputNoise(train.Classes, src)
-			}
-		}
-		select {
-		case full <- d:
-		case <-stop:
-			return
-		}
-	}
-}
-
-// lnnStep is one hand-derived training step of the LNN loss
-// L = CE(softmax(|W·x + N_e|), label), with its per-sample buffers.
-type lnnStep struct {
-	z     []complex128 // pre-magnitude outputs W·x + N_e
+// lnnBatch is the hand-derived training step of the LNN loss
+// L = CE(softmax(|W·x + N_e|), label) over one mini-batch, with its buffers.
+// The backward pass is the Wirtinger chain rule of package autodiff written
+// out: ∂L/∂|z_r| = p_r − [r = label], ∂L/∂z̄_r = that·z_r/(2|z_r|), and
+// ∂L/∂W̄[r,c] = Σ_k ∂L/∂z̄_{k,r}·conj(x_k[c]) over the batch's samples k.
+// x is a constant, so no adjoint flows into it.
+type lnnBatch struct {
+	w     *autodiff.CParam
+	size  int          // samples the buffers hold
+	x     []complex128 // the inputs: sample k at x[k·U:(k+1)·U]
+	gy    []complex128 // ∂L/∂z̄: row r of sample k at gy[r·size+k]
+	z     []complex128 // one sample's pre-magnitude outputs W·x + N_e
 	mag   []float64    // |z|, the class scores
 	probs []float64    // softmax(|z|)
 }
 
-func newLNNStep(classes int) *lnnStep {
-	return &lnnStep{
-		z:     make([]complex128, classes),
-		mag:   make([]float64, classes),
-		probs: make([]float64, classes),
+func newLNNBatch(w *autodiff.CParam, size int) *lnnBatch {
+	return &lnnBatch{
+		w:     w,
+		size:  size,
+		x:     make([]complex128, size*w.Cols),
+		gy:    make([]complex128, size*w.Rows),
+		z:     make([]complex128, w.Rows),
+		mag:   make([]float64, w.Rows),
+		probs: make([]float64, w.Rows),
 	}
 }
 
-// accumulate runs one sample forward and adds its gradient ∂L/∂W̄ into
-// w.Grad. noise (nil for none) is the additive output noise N_e. The
-// backward pass is the Wirtinger chain rule of package autodiff written
-// out: ∂L/∂|z_r| = p_r − [r = label], ∂L/∂z̄_r = that·z_r/(2|z_r|), and
-// ∂L/∂W̄[r,c] += ∂L/∂z̄_r·conj(x_c). x is a constant, so no adjoint flows
-// into it.
-func (st *lnnStep) accumulate(w *autodiff.CParam, x, noise []complex128, label int) {
+// forward puts sample k's input in its slot of b.x, through cfg.InputAug
+// when set, draws its output noise N_e when cfg.OutputNoise is set, runs it
+// forward and writes its adjoints ∂L/∂z̄_r to b.gy. A row whose gradient is
+// zero (p_r − [r = label] = 0, or |z_r| = 0, whose subgradient is zero)
+// gets the adjoint 0.
+func (b *lnnBatch) forward(k int, x []complex128, label int, cfg TrainConfig, src *rng.Source) {
+	w := b.w
+	slot := b.x[k*w.Cols : (k+1)*w.Cols : (k+1)*w.Cols]
+	if cfg.InputAug != nil && len(x) == w.Cols { // a wrong length panics unaugmented
+		x = cfg.InputAug(slot, x, src)
+	}
 	if len(x) != w.Cols {
 		panic(fmt.Sprintf("nn: %d-symbol input for a %dx%d network", len(x), w.Rows, w.Cols))
 	}
 	if label < 0 || label >= w.Rows {
 		panic(fmt.Sprintf("nn: label %d out of range %d", label, w.Rows))
 	}
-	w.Mat().MulVecTo(st.z, x)
-	if noise != nil {
-		if len(noise) != len(st.z) {
-			panic(fmt.Sprintf("nn: %d output-noise values for %d classes", len(noise), len(st.z)))
-		}
-		for r := range st.z {
-			st.z[r] += noise[r]
+	if len(x) > 0 && &x[0] != &slot[0] {
+		copy(slot, x)
+	}
+	w.Mat().MulVecTo(b.z, slot)
+	if cfg.OutputNoise != nil {
+		if noise := cfg.OutputNoise(w.Rows, src); noise != nil {
+			if len(noise) != len(b.z) {
+				panic(fmt.Sprintf("nn: %d output-noise values for %d classes", len(noise), len(b.z)))
+			}
+			for r := range b.z {
+				b.z[r] += noise[r]
+			}
 		}
 	}
-	for r, v := range st.z {
-		st.mag[r] = cmplx.Abs(v)
+	for r, v := range b.z {
+		b.mag[r] = cmplx.Abs(v)
 	}
-	autodiff.SoftmaxInto(st.probs, st.mag)
-	for r, p := range st.probs {
+	autodiff.SoftmaxInto(b.probs, b.mag)
+	for r, p := range b.probs {
 		g := p
 		if r == label {
 			g -= 1
 		}
-		if g == 0 || st.mag[r] == 0 {
-			continue // |z| = 0 propagates a zero subgradient
+		var gy complex128
+		if g != 0 && b.mag[r] != 0 {
+			gy = complex(g/(2*b.mag[r]), 0) * b.z[r]
 		}
-		gy := complex(g/(2*st.mag[r]), 0) * st.z[r]
-		if gy == 0 {
-			continue
-		}
-		cplx.AddScaledConj(w.Grad[r*w.Cols:(r+1)*w.Cols], gy, x)
+		b.gy[r*b.size+k] = gy
+	}
+}
+
+// backward sets w.Grad to the gradient of the batch's first n samples with
+// one cplx.AddScaledConjBatch call per row, which adds each element's n
+// products in sample order: the bits of n per-sample updates that skip the
+// zero adjoints, as the tape does. A zero adjoint adds 0·conj(x), which is
+// ±0 for a finite x and leaves a sum that starts at +0 unchanged (round to
+// nearest gives −0 only for two −0 addends); a non-finite input makes every
+// probability NaN, so none of its adjoints is zero.
+func (b *lnnBatch) backward(n int) {
+	w := b.w
+	w.ZeroGrad()
+	for r := 0; r < w.Rows; r++ {
+		cplx.AddScaledConjBatch(w.Grad[r*w.Cols:(r+1)*w.Cols], b.gy[r*b.size:r*b.size+n], b.x[:n*w.Cols])
 	}
 }
 

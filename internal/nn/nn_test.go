@@ -95,7 +95,7 @@ func TestInputAugmenterIsCalled(t *testing.T) {
 	TrainLNN(train, TrainConfig{
 		Seed:   1,
 		Epochs: 1,
-		InputAug: func(x []complex128, src *rng.Source) []complex128 {
+		InputAug: func(dst, x []complex128, src *rng.Source) []complex128 {
 			called++
 			return x
 		},
@@ -265,6 +265,36 @@ func TestTrainLNNPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	TrainLNN(&EncodedSet{Classes: 2}, TrainConfig{})
+}
+
+// TestTrainLNNPanicsOnBadSample: an out-of-range label and an output-noise
+// vector of the wrong length panic on the caller's goroutine with their
+// messages.
+func TestTrainLNNPanicsOnBadSample(t *testing.T) {
+	x := []complex128{1 + 1i, 2 - 1i, -1 + 3i, 0.5i}
+	set := func(label int) *EncodedSet {
+		return &EncodedSet{X: [][]complex128{x, x}, Labels: []int{0, label}, Classes: 2, U: len(x)}
+	}
+	longNoise := func(n int, src *rng.Source) []complex128 { return make([]complex128, n+1) }
+	cases := []struct {
+		name string
+		set  *EncodedSet
+		cfg  TrainConfig
+		want string
+	}{
+		{"label", set(2), TrainConfig{Epochs: 1}, "nn: label 2 out of range 2"},
+		{"noise", set(1), TrainConfig{Epochs: 1, OutputNoise: longNoise}, "nn: 3 output-noise values for 2 classes"},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: TrainLNN panicked with %v, want %q", tc.name, got, tc.want)
+				}
+			}()
+			TrainLNN(tc.set, tc.cfg)
+		}()
+	}
 }
 
 func TestDeepNNForwardShapes(t *testing.T) {

@@ -38,7 +38,7 @@ func trainLNNTape(train *nn.EncodedSet, cfg nn.TrainConfig) *nn.ComplexLNN {
 			for _, idx := range order[start:end] {
 				x := train.X[idx]
 				if cfg.InputAug != nil {
-					x = cfg.InputAug(x, src)
+					x = cfg.InputAug(nil, x, src)
 				}
 				tp := autodiff.NewTape()
 				y := tp.MatVec(m.W, tp.ConstC(x))
@@ -63,21 +63,35 @@ func trainLNNTape(train *nn.EncodedSet, cfg nn.TrainConfig) *nn.ComplexLNN {
 }
 
 func encodedQuick(t testing.TB, name string, seed uint64) *nn.EncodedSet {
-	t.Helper()
-	ds := dataset.MustLoad(name, dataset.Quick, seed)
-	return nn.EncodeSet(ds.Train, ds.Classes, nn.Encoder{Scheme: modem.QAM256})
+	return encodedQuickAs(t, name, seed, modem.QAM256)
 }
 
-// TestTrainLNNMatchesTapeOracle pins the fused training step to the tape's
-// arithmetic: every trained weight must carry the oracle's exact bits, with
-// no augmenter, with the served CDFA injector, and with CDFA plus output
-// noise — on a full Quick training set and on a truncated one whose last
-// batch is partial.
+func encodedQuickAs(t testing.TB, name string, seed uint64, scheme modem.Scheme) *nn.EncodedSet {
+	t.Helper()
+	ds := dataset.MustLoad(name, dataset.Quick, seed)
+	return nn.EncodeSet(ds.Train, ds.Classes, nn.Encoder{Scheme: scheme})
+}
+
+// TestTrainLNNMatchesTapeOracle pins the batched training step to the
+// tape's arithmetic: every trained weight must carry the oracle's exact
+// bits, with no augmenter, with the served CDFA injector, and with CDFA plus
+// output noise — on a full Quick training set and on a truncated one whose
+// last batch is partial. Besides the served 256-QAM mnist and fashion sets,
+// mnist under 64-QAM has U = 86 symbols (a column tail in both kernels) and
+// afhq has 3 classes (an odd row count).
 func TestTrainLNNMatchesTapeOracle(t *testing.T) {
 	const epochs = 3
-	for _, name := range []string{"mnist", "fashion"} {
+	for _, ds := range []struct {
+		label, name string
+		scheme      modem.Scheme
+	}{
+		{"mnist", "mnist", modem.QAM256},
+		{"fashion", "fashion", modem.QAM256},
+		{"mnist-64qam", "mnist", modem.QAM64},
+		{"afhq", "afhq", modem.QAM256},
+	} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			full := encodedQuick(t, name, seed)
+			full := encodedQuickAs(t, ds.name, seed, ds.scheme)
 			partial := *full
 			partial.X, partial.Labels = full.X[:150], full.Labels[:150]
 			cdfa := clocksync.Injector(clocksync.ScaledDetector(full.U), 1e6)
@@ -91,7 +105,7 @@ func TestTrainLNNMatchesTapeOracle(t *testing.T) {
 			}
 			for _, set := range []*nn.EncodedSet{full, &partial} {
 				for _, su := range setups {
-					t.Run(fmt.Sprintf("%s/seed%d/n%d/%s", name, seed, len(set.X), su.name), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/seed%d/n%d/%s", ds.label, seed, len(set.X), su.name), func(t *testing.T) {
 						cfg := su.cfg
 						cfg.Seed, cfg.Epochs = seed, epochs
 						want := trainLNNTape(set, cfg)
@@ -110,31 +124,38 @@ func TestTrainLNNMatchesTapeOracle(t *testing.T) {
 	}
 }
 
-// TestTrainLNNStepZeroAlloc guards the fused step's buffer reuse: without
-// augmenters a training run allocates the same amount at 2 and at 20
-// epochs, so no sample (and no batch or epoch) allocates.
+// TestTrainLNNStepZeroAlloc guards the batched step's buffer reuse: a
+// training run allocates the same amount at 2 and at 20 epochs, so no
+// sample (and no batch or epoch) allocates — without augmenters, and with
+// the served CDFA injector, which shifts each input into the trainer's
+// batch buffer.
 func TestTrainLNNStepZeroAlloc(t *testing.T) {
 	train := encodedQuick(t, "mnist", 1)
 	train.X, train.Labels = train.X[:100], train.Labels[:100]
-	allocs := func(epochs int) float64 {
-		return testing.AllocsPerRun(3, func() {
-			nn.TrainLNN(train, nn.TrainConfig{Seed: 1, Epochs: epochs})
-		})
-	}
-	if short, long := allocs(2), allocs(20); short != long {
-		t.Fatalf("TrainLNN allocates %v times at 2 epochs but %v at 20: the step allocates per sample", short, long)
+	cdfa := clocksync.Injector(clocksync.ScaledDetector(train.U), 1e6)
+	for _, tc := range []struct {
+		name string
+		aug  nn.InputAugmenter
+	}{{"plain", nil}, {"cdfa", cdfa}} {
+		allocs := func(epochs int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				nn.TrainLNN(train, nn.TrainConfig{Seed: 1, Epochs: epochs, InputAug: tc.aug})
+			})
+		}
+		if short, long := allocs(2), allocs(20); short != long {
+			t.Errorf("%s: TrainLNN allocates %v times at 2 epochs but %v at 20: the step allocates per sample", tc.name, short, long)
+		}
 	}
 }
 
-// TestTrainLNNWaitsForItsDrawGoroutine: TrainLNN returns, and panics, only
-// after the goroutine that makes its draws an epoch ahead has left
-// drawEpochs, so no goroutine outlives it — after a CDFA-augmented run,
-// after a step panics on a wrong-length input, and after the augmenter
-// itself panics on the draw goroutine (the panic reaches TrainLNN's
-// caller). In the wrong-length case a slow augmenter keeps the draw
-// goroutine inside drawEpochs, an epoch ahead, when the step panics; it
-// then waits for a free epoch buffer that never comes unless TrainLNN
-// stops it. The stacks are checked at once. The goroutine count gets up to
+// TestTrainLNNWaitsForItsDrawGoroutine: TrainLNN makes every draw on its
+// caller's goroutine and starts none, so after it returns, or panics, no
+// goroutine runs package nn's code and the goroutine count is what it was —
+// after a CDFA-augmented run, after a step panics on a wrong-length input,
+// and after the augmenter itself panics (the panic reaches TrainLNN's
+// caller with its own value). The wrong-length case's augmenter is slow so
+// that a goroutine drawing ahead would still be drawing when the step
+// panics. The stacks are checked at once. The goroutine count gets up to
 // a second to settle: a goroutine still counts between its last channel
 // operation and the scheduler freeing it, and on a loaded host that can
 // outlast any number of yields.
@@ -144,17 +165,17 @@ func TestTrainLNNWaitsForItsDrawGoroutine(t *testing.T) {
 	cdfa := clocksync.Injector(clocksync.ScaledDetector(train.U), 1e6)
 	short := *train
 	short.X = append([][]complex128{train.X[0][:train.U-1]}, train.X[1:]...)
-	slow := func(x []complex128, src *rng.Source) []complex128 {
+	slow := func(dst, x []complex128, src *rng.Source) []complex128 {
 		for start := time.Now(); time.Since(start) < 100*time.Microsecond; {
 		}
-		return cdfa(x, src)
+		return cdfa(dst, x, src)
 	}
 	calls := 0
-	failing := func(x []complex128, src *rng.Source) []complex128 {
+	failing := func(dst, x []complex128, src *rng.Source) []complex128 {
 		if calls++; calls == 150 {
 			panic("augmenter failed")
 		}
-		return cdfa(x, src)
+		return cdfa(dst, x, src)
 	}
 	cases := []struct {
 		name      string
@@ -174,8 +195,8 @@ func TestTrainLNNWaitsForItsDrawGoroutine(t *testing.T) {
 			nn.TrainLNN(tc.set, nn.TrainConfig{Seed: 1, Epochs: 5, InputAug: tc.aug})
 		}()
 		buf := make([]byte, 1<<20)
-		if buf = buf[:runtime.Stack(buf, true)]; bytes.Contains(buf, []byte("nn.drawEpochs")) {
-			t.Errorf("%s: a goroutine is still in drawEpochs after TrainLNN:\n%s", tc.name, buf)
+		if buf = buf[:runtime.Stack(buf, true)]; bytes.Contains(buf, []byte("repro/internal/nn.")) {
+			t.Errorf("%s: a goroutine still runs package nn after TrainLNN:\n%s", tc.name, buf)
 		}
 		if got != tc.wantPanic {
 			t.Errorf("%s: TrainLNN panicked with %v, want %v", tc.name, got, tc.wantPanic)
@@ -188,5 +209,17 @@ func TestTrainLNNWaitsForItsDrawGoroutine(t *testing.T) {
 		if after != before {
 			t.Errorf("%s: %d goroutines after TrainLNN, %d before", tc.name, after, before)
 		}
+	}
+}
+
+// BenchmarkTrainLNNServed is the training a replica's cold start runs: the
+// default mnist set, the paper's 60 epochs, the served CDFA injector.
+func BenchmarkTrainLNNServed(b *testing.B) {
+	train := encodedQuick(b, "mnist", 1)
+	cdfa := clocksync.Injector(clocksync.ScaledDetector(train.U), 1e6)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn.TrainLNN(train, nn.TrainConfig{Seed: 1, InputAug: cdfa})
 	}
 }

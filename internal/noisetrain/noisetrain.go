@@ -41,12 +41,14 @@ func DefaultConfig() Config {
 // at the given SNR relative to unit-power symbols.
 func InputNoise(snrDB float64) nn.InputAugmenter {
 	sigma2 := math.Pow(10, -snrDB/10)
-	return func(x []complex128, src *rng.Source) []complex128 {
-		out := make([]complex128, len(x))
-		for i, v := range x {
-			out[i] = v + src.ComplexNormal(sigma2)
+	return func(dst, x []complex128, src *rng.Source) []complex128 {
+		if dst == nil {
+			dst = make([]complex128, len(x))
 		}
-		return out
+		for i, v := range x {
+			dst[i] = v + src.ComplexNormal(sigma2)
+		}
+		return dst
 	}
 }
 

@@ -21,7 +21,7 @@ func TestInputNoiseLevel(t *testing.T) {
 	aug := InputNoise(10) // SNR 10 dB → noise power 0.1
 	src := rng.New(1)
 	x := make([]complex128, 20000)
-	out := aug(x, src)
+	out := aug(nil, x, src)
 	var p float64
 	for _, v := range out {
 		p += real(v)*real(v) + imag(v)*imag(v)
@@ -83,7 +83,7 @@ func TestNoiseAwareTrainingHelpsAtLowSNR(t *testing.T) {
 		outNoise := OutputNoise(scale * math.Pow(10, -8.0/20))
 		correct := 0
 		for i, x := range test.X {
-			xn := inAug(x, src)
+			xn := inAug(nil, x, src)
 			logits := m.Logits(xn)
 			for r, nz := range outNoise(len(logits), src) {
 				re := logits[r] + real(nz)
